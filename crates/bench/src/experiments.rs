@@ -1,8 +1,8 @@
 //! Regenerators for every table and figure in the paper's evaluation.
 //!
 //! Each function takes a [`Fixture`] and returns a printable artifact. The
-//! `repro` binary prints them; the criterion benches time them. DESIGN.md §5
-//! is the index mapping each experiment id to the paper's table/figure.
+//! `repro` binary prints them. DESIGN.md §5 is the index mapping each
+//! experiment id to the paper's table/figure.
 
 use crate::fixtures::Fixture;
 use mpa_core::predict::{

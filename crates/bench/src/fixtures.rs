@@ -7,7 +7,7 @@
 
 use mpa_metrics::pipeline::{infer, Inference};
 use mpa_metrics::CaseTable;
-use mpa_synth::{Dataset, GenMode, Scenario};
+use mpa_synth::{Dataset, Scenario};
 use std::sync::OnceLock;
 
 /// Fixture scale selector.
@@ -55,14 +55,7 @@ impl Fixture {
     /// otherwise customized scenarios (e.g. `repro --degrade heavy`) go
     /// through here and live as long as the caller keeps them.
     pub fn custom(scenario: &Scenario) -> Fixture {
-        Self::custom_with_mode(scenario, GenMode::default())
-    }
-
-    /// [`Fixture::custom`] with an explicit generation engine — how
-    /// `repro --gen-mode full` runs the experiments against the
-    /// full-render oracle.
-    pub fn custom_with_mode(scenario: &Scenario, gen_mode: GenMode) -> Fixture {
-        let dataset = scenario.generate_with_mode(gen_mode);
+        let dataset = scenario.generate();
         let inference = infer(&dataset, mpa_metrics::DELTA_DEFAULT_MINUTES);
         Fixture { dataset, inference, mi_cache: OnceLock::new(), causal_cache: OnceLock::new() }
     }

@@ -15,7 +15,8 @@
 //! * **Exhaustive, ordered**: `chunk_keys` is sorted by `ChunkKey`'s derived
 //!   `Ord`, and that order *is* document order. Flushing dirty chunks in
 //!   sorted order therefore interns new lines in the same order a full
-//!   render would — the foundation of `--gen-mode delta ≡ full`.
+//!   render would — the foundation of delta-native ≡ full-render
+//!   generation.
 //! * **Self-delimited**: every non-empty chunk ends with exactly one `\n`
 //!   and contains no blank lines, so splitting per-chunk and splitting the
 //!   concatenated document yield the same line sequence.

@@ -38,7 +38,7 @@
 //!
 //! Equivalence with the full path is enforced by property tests
 //! (arbitrary histories, both dialects, reverts, trailing-newline edge
-//! cases) and by the pipeline-level oracle gate (`--infer-mode full`).
+//! cases) and by the pipeline-level oracle (`mpa_metrics::infer_full`).
 
 use crate::archive::{LineId, SnapshotArchive};
 use crate::diff::{ChangeAction, StanzaChange};

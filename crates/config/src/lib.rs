@@ -35,8 +35,8 @@
 //!   reconstruction.
 //! * [`chunk`] — stable chunk decomposition of rendered documents: one key
 //!   per stanza/wrapper, ordered like the document, with dirty-marking
-//!   helpers. This is the substrate of delta-native *generation*
-//!   (`--gen-mode delta`): the simulator re-renders only dirty chunks.
+//!   helpers. This is the substrate of delta-native *generation*: the
+//!   simulator re-renders only dirty chunks.
 //! * [`incremental`] — delta-native inference: an incremental stanza index
 //!   over the archive's line-id deltas that derives `diff_configs`-
 //!   equivalent change records while re-parsing only changed segments.

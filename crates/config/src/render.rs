@@ -18,7 +18,7 @@
 //! [`render_config`] is nothing more than the chunks emitted in document
 //! order. [`crate::chunk`] exposes the same chunk functions keyed by
 //! [`crate::chunk::ChunkKey`], which is what makes delta-native generation
-//! (`--gen-mode delta`) byte-identical to the full render by construction:
+//! byte-identical to the full render by construction:
 //! there is exactly one renderer per chunk, shared by both paths.
 //!
 //! The two dialects deliberately disagree about where VLAN membership lives:

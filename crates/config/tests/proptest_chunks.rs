@@ -8,8 +8,8 @@
 //! * re-rendering only the chunks the `mark_*` helpers flag for each edit
 //!   — the delta-native generator's exact bookkeeping — reproduces the
 //!   full render (i.e. the dirty sets are *complete*; over-approximation
-//!   is allowed, under-approximation would desynchronize `--gen-mode
-//!   delta`).
+//!   is allowed, under-approximation would desynchronize delta-native
+//!   generation).
 
 use mpa_config::chunk::{self, chunk_keys, render_chunk, ChunkKey};
 use mpa_config::render::render_config;

@@ -21,8 +21,9 @@ use mpa_core::predict::{
     class_distribution, cross_validation, online_accuracy, render_tree, HealthClasses, ModelKind,
 };
 use mpa_core::{analyze_treatment, cmi_ranking, mi_ranking, CausalConfig, TextTable};
-use mpa_metrics::{CaseTable, InferMode, Metric};
-use mpa_synth::{CoverageReport, Dataset, DegradeSpec, GenMode, Scenario};
+use mpa_metrics::{CaseTable, Metric};
+use mpa_synth::{CoverageReport, Dataset, DegradeSpec, Scenario};
+use std::time::Duration;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -33,10 +34,9 @@ fn main() {
     if let Some(n) = opts.threads {
         mpa_core::exec::set_threads(n);
     }
-    if opts.obs_out.is_some() {
-        mpa_obs::install_collector();
-    }
-    mpa_core::exec::set_phase_timing(true);
+    // Spans are the only timer: every phase runs inside a root span, and
+    // each root span becomes one `[mpa] <phase>: <elapsed>` stderr line.
+    mpa_obs::install_collector();
     match command.as_str() {
         "generate" => generate(&opts),
         "infer" => infer(&opts),
@@ -53,8 +53,12 @@ fn main() {
             usage_and_exit();
         }
     }
+    // Gather once: the report drains the span collector.
+    let report = mpa_obs::RunReport::gather();
+    for span in &report.spans {
+        eprintln!("[mpa] {}: {:.2?}", span.label, Duration::from_nanos(span.wall_nanos));
+    }
     if let Some(path) = &opts.obs_out {
-        let report = mpa_obs::RunReport::gather();
         report.write(path).unwrap_or_else(|e| {
             eprintln!("cannot write {path}: {e}");
             std::process::exit(1);
@@ -68,10 +72,8 @@ fn usage_and_exit() -> ! {
         "mpa-cli — Management Plane Analytics\n\n\
          usage:\n\
            mpa-cli generate --scale tiny|small|medium|paper [--seed N]\n\
-                            [--degrade none|light|heavy|key=rate,...]\n\
-                            [--gen-mode delta|full] --out dataset.json\n\
-           mpa-cli infer    --dataset dataset.json [--delta MIN]\n\
-                            [--infer-mode delta|full] --out table.json\n\
+                            [--degrade none|light|heavy|key=rate,...] --out dataset.json\n\
+           mpa-cli infer    --dataset dataset.json [--delta MIN] --out table.json\n\
            mpa-cli analyze  --table table.json [--causal-top N]\n\
            mpa-cli predict  --table table.json [--classes 2|5]\n\
            mpa-cli report   --table table.json\n\n\
@@ -93,8 +95,6 @@ struct Opts {
     dataset: Option<String>,
     table: Option<String>,
     delta: Option<u64>,
-    infer_mode: Option<InferMode>,
-    gen_mode: Option<GenMode>,
     causal_top: Option<usize>,
     classes: Option<u8>,
     threads: Option<usize>,
@@ -145,28 +145,6 @@ impl Opts {
                 "--dataset" => o.dataset = Some(value()),
                 "--table" => o.table = Some(value()),
                 "--delta" => o.delta = Some(parse_num("--delta", &value())),
-                "--infer-mode" => {
-                    let raw = value();
-                    o.infer_mode = Some(InferMode::parse(&raw).unwrap_or_else(|| {
-                        eprintln!("--infer-mode must be \"delta\" or \"full\", got {raw:?}");
-                        std::process::exit(2);
-                    }));
-                }
-                "--gen-mode" => {
-                    // Like --degrade, a generation-time knob: accepting it
-                    // elsewhere would silently do nothing.
-                    if command != "generate" {
-                        eprintln!(
-                            "--gen-mode only applies to the generate command (not {command:?})"
-                        );
-                        std::process::exit(2);
-                    }
-                    let raw = value();
-                    o.gen_mode = Some(GenMode::parse(&raw).unwrap_or_else(|| {
-                        eprintln!("--gen-mode must be \"delta\" or \"full\", got {raw:?}");
-                        std::process::exit(2);
-                    }));
-                }
                 "--causal-top" => o.causal_top = Some(parse_num("--causal-top", &value())),
                 "--classes" => {
                     let n: u8 = parse_num("--classes", &value());
@@ -220,9 +198,7 @@ fn generate(opts: &Opts) {
     if let Some(degrade) = opts.degrade {
         scenario = scenario.with_degrade(degrade);
     }
-    let gen_mode = opts.gen_mode.unwrap_or_default();
-    let dataset =
-        mpa_core::exec::timed_phase("generate", || scenario.generate_with_mode(gen_mode));
+    let dataset = mpa_obs::span("generate", || scenario.generate());
     let summary = dataset.summary();
     eprintln!(
         "generated {} networks / {} devices / {} snapshots / {} tickets",
@@ -273,10 +249,7 @@ fn infer(opts: &Opts) {
     });
     dataset.inventory.rebuild_index(); // skipped field; see Inventory docs
     let delta = opts.delta.unwrap_or(mpa_metrics::DELTA_DEFAULT_MINUTES);
-    let mode = opts.infer_mode.unwrap_or_default();
-    let table = mpa_core::exec::timed_phase("infer", || {
-        mpa_metrics::infer_with_mode(&dataset, delta, mode).table
-    });
+    let table = mpa_obs::span("infer", || mpa_metrics::infer(&dataset, delta).table);
     eprintln!("inferred {} cases", table.n_cases());
     let out = opts.out.as_deref().unwrap_or("table.json");
     std::fs::write(out, serde_json::to_string(&table).expect("table serializes"))
@@ -290,7 +263,7 @@ fn infer(opts: &Opts) {
 fn analyze(opts: &Opts, table: &CaseTable) {
     println!("== dependence analysis ({} cases) ==\n", table.n_cases());
 
-    let mi = mpa_core::exec::timed_phase("mi_ranking", || mi_ranking(table, 20));
+    let mi = mpa_obs::span("mi_ranking", || mi_ranking(table, 20));
     let mut t = TextTable::new(vec!["rank", "practice", "cat", "avg monthly MI"]);
     for (i, e) in mi.iter().take(10).enumerate() {
         t.row(vec![
@@ -302,7 +275,7 @@ fn analyze(opts: &Opts, table: &CaseTable) {
     }
     println!("{t}");
 
-    let cmi = mpa_core::exec::timed_phase("cmi_ranking", || cmi_ranking(table));
+    let cmi = mpa_obs::span("cmi_ranking", || cmi_ranking(table));
     let mut t = TextTable::new(vec!["practice pair", "", "CMI"]);
     for e in cmi.iter().take(10) {
         t.row(vec![e.a.name().to_string(), e.b.name().to_string(), format!("{:.3}", e.cmi)]);
@@ -316,7 +289,7 @@ fn analyze(opts: &Opts, table: &CaseTable) {
     // Matching is independent per treatment metric; fan out, render in
     // ranking order.
     let top_entries: Vec<_> = mi.iter().take(top).collect();
-    let analyses = mpa_core::exec::timed_phase("causal", || {
+    let analyses = mpa_obs::span("causal", || {
         mpa_core::exec::par_map(&top_entries, |_, e| analyze_treatment(table, e.metric, &cfg))
     });
     for (e, analysis) in top_entries.iter().zip(&analyses) {
@@ -349,7 +322,7 @@ fn predict(opts: &Opts, table: &CaseTable) {
     println!("{t}");
 
     let mut t = TextTable::new(vec!["model", "5-fold CV accuracy"]);
-    mpa_core::exec::timed_phase("predict", || {
+    mpa_obs::span("predict", || {
         for kind in
             [ModelKind::Dt, ModelKind::DtAb, ModelKind::DtOs, ModelKind::DtAbOs, ModelKind::Majority]
         {

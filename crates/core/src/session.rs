@@ -33,7 +33,7 @@ use crate::predict::{
 };
 use mpa_config::{ConfigError, Snapshot};
 use mpa_learn::Classifier;
-use mpa_metrics::{Case, CaseTable, InferMode, Metric, NetworkInferCtx, DELTA_DEFAULT_MINUTES};
+use mpa_metrics::{Case, CaseTable, Metric, NetworkInferCtx, DELTA_DEFAULT_MINUTES};
 use mpa_model::{DeviceId, NetworkId, Ticket};
 use mpa_synth::Dataset;
 use serde::{Deserialize, Serialize};
@@ -44,8 +44,6 @@ use std::collections::{BTreeMap, BTreeSet};
 pub struct SessionConfig {
     /// Event-grouping window δ in minutes.
     pub delta_minutes: u64,
-    /// Inference engine (delta-native by default).
-    pub mode: InferMode,
     /// How many top-MI practices the causal summary covers.
     pub causal_top: usize,
     /// Health-class granularity of the resident predictor.
@@ -56,7 +54,6 @@ impl Default for SessionConfig {
     fn default() -> Self {
         Self {
             delta_minutes: DELTA_DEFAULT_MINUTES,
-            mode: InferMode::default(),
             causal_top: 5,
             classes: HealthClasses::Two,
         }
@@ -183,8 +180,7 @@ pub struct AnalyticsSession {
 impl AnalyticsSession {
     /// Build a session by running batch inference over `dataset`.
     pub fn new(dataset: Dataset, config: SessionConfig) -> Self {
-        let inference =
-            mpa_metrics::infer_with_mode(&dataset, config.delta_minutes, config.mode);
+        let inference = mpa_metrics::infer(&dataset, config.delta_minutes);
 
         let mut device_network = BTreeMap::new();
         let mut network_index = BTreeMap::new();
@@ -368,8 +364,7 @@ impl AnalyticsSession {
         // from the grown dataset (ticket counts and line classes are pure
         // functions of it). Each call reproduces exactly the rows a cold
         // batch run over the extended corpus would emit for that network.
-        let ctx =
-            NetworkInferCtx::new(&self.dataset, self.config.delta_minutes, self.config.mode);
+        let ctx = NetworkInferCtx::new(&self.dataset, self.config.delta_minutes);
         for &ix in &dirty {
             let (_, cases, _) = ctx.infer_network(&self.dataset, &self.dataset.networks[ix]);
             self.per_network[ix] = cases;

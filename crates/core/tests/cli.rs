@@ -151,7 +151,6 @@ fn invalid_flag_values_are_rejected_with_exit_2() {
     let cases: &[(&[&str], &str)] = &[
         (&["generate", "--scale", "tiny", "--seed", "abc"], "--seed"),
         (&["infer", "--delta", "ten"], "--delta"),
-        (&["infer", "--infer-mode", "turbo"], "--infer-mode"),
         (&["analyze", "--causal-top", "-1"], "--causal-top"),
         (&["report", "--threads", "1.5"], "--threads"),
         (&["predict", "--classes", "two"], "--classes"),
@@ -171,12 +170,6 @@ fn invalid_flag_values_are_rejected_with_exit_2() {
         (&["predict", "--degrade", "heavy"], "--degrade"),
         (&["report", "--degrade", "none"], "--degrade"),
         (&["infer", "--degrade", "light"], "generate"),
-        // Same contract for --gen-mode: bad value, and a generation-time
-        // knob appearing on a non-generate command.
-        (&["generate", "--scale", "tiny", "--gen-mode", "turbo"], "--gen-mode"),
-        (&["infer", "--gen-mode", "delta"], "--gen-mode"),
-        (&["infer", "--gen-mode", "delta"], "generate"),
-        (&["analyze", "--gen-mode", "full"], "--gen-mode"),
     ];
     for (args, needle) in cases {
         let out = cli().args(*args).output().expect("run cli");
@@ -207,14 +200,40 @@ fn tiny_table(tag: &str) -> PathBuf {
 fn obs_report_is_well_formed_and_cache_counters_balance() {
     let dataset = tmp("obs-dataset.json");
     let table = tmp("obs-table.json");
+    let generate_obs = tmp("obs-generate-run.json");
     let infer_obs = tmp("obs-infer-run.json");
     let report_obs = tmp("obs-report-run.json");
 
     let out = cli()
-        .args(["generate", "--scale", "tiny", "--out", dataset.to_str().unwrap()])
+        .args([
+            "generate",
+            "--scale",
+            "tiny",
+            "--out",
+            dataset.to_str().unwrap(),
+            "--obs-out",
+            generate_obs.to_str().unwrap(),
+        ])
         .output()
         .expect("run generate");
     assert!(out.status.success(), "generate failed: {}", String::from_utf8_lossy(&out.stderr));
+    assert_phase_lines(&out.stderr, &["generate"]);
+
+    // The generate run's report: every chunk render is a render-cache hit
+    // or a miss, and the delta-native generator did real work — it hit
+    // the cache, missed it on novel text, spliced live documents, and
+    // rendered lines and bytes.
+    let report = read_report(&generate_obs);
+    let counters = get(&report, "counters");
+    let rendered = as_u64(get(counters, "gen_chunks_rendered"));
+    let hits = as_u64(get(counters, "gen_render_cache_hits"));
+    let misses = as_u64(get(counters, "gen_render_cache_misses"));
+    let splices = as_u64(get(counters, "gen_splice_ops"));
+    let lines = as_u64(get(counters, "gen_lines_rendered"));
+    let bytes = as_u64(get(counters, "gen_bytes_rendered"));
+    assert_eq!(hits + misses, rendered, "render-cache leak: {hits} + {misses} != {rendered}");
+    assert!(hits > 0 && misses > 0 && splices > 0, "render cache idle: {hits}/{misses}/{splices}");
+    assert!(lines > 0 && bytes > 0, "render work counters idle: {lines} lines, {bytes} bytes");
 
     let out = cli()
         .args([
@@ -229,9 +248,11 @@ fn obs_report_is_well_formed_and_cache_counters_balance() {
         .output()
         .expect("run infer");
     assert!(out.status.success(), "infer failed: {}", String::from_utf8_lossy(&out.stderr));
+    assert_phase_lines(&out.stderr, &["infer"]);
 
     // The infer run's report: the parse cache must account for every
-    // snapshot it visited — hits + misses == visited, and work happened.
+    // snapshot it visited — hits + misses == visited, and work happened —
+    // and the delta-native engine re-parsed stanzas, never whole snapshots.
     let report = read_report(&infer_obs);
     let counters = get(&report, "counters");
     let visited = as_u64(get(counters, "parse_snapshots_visited"));
@@ -239,6 +260,8 @@ fn obs_report_is_well_formed_and_cache_counters_balance() {
     let misses = as_u64(get(counters, "parse_cache_misses"));
     assert!(visited > 0, "infer visited no snapshots");
     assert_eq!(hits + misses, visited, "cache accounting leak: {hits} + {misses} != {visited}");
+    assert_eq!(as_u64(get(counters, "infer_full_parses")), 0, "infer must never full-parse");
+    assert!(as_u64(get(counters, "infer_stanzas_reparsed")) > 0, "no stanza reparses counted");
     let mut labels = Vec::new();
     span_labels(get(&report, "spans"), &mut labels);
     assert!(labels.iter().any(|l| l == "infer"), "spans {labels:?} lack \"infer\"");
@@ -258,6 +281,8 @@ fn obs_report_is_well_formed_and_cache_counters_balance() {
         .output()
         .expect("run report");
     assert!(out.status.success(), "report failed: {}", String::from_utf8_lossy(&out.stderr));
+    let phases = ["mi_ranking", "cmi_ranking", "causal", "predict"];
+    assert_phase_lines(&out.stderr, &phases);
     let report = read_report(&report_obs);
     assert_eq!(as_u64(get(&report, "version")), 1);
     if std::path::Path::new("/proc/self/status").exists() {
@@ -265,168 +290,117 @@ fn obs_report_is_well_formed_and_cache_counters_balance() {
     }
     let mut labels = Vec::new();
     span_labels(get(&report, "spans"), &mut labels);
-    for phase in ["mi_ranking", "cmi_ranking", "causal", "predict"] {
+    for phase in phases {
         assert!(labels.iter().any(|l| l == phase), "spans {labels:?} lack {phase:?}");
     }
 }
 
-#[test]
-fn infer_modes_agree_and_both_balance_the_parse_cache() {
-    let dataset = tmp("modes-dataset.json");
-    let out = cli()
-        .args(["generate", "--scale", "tiny", "--out", dataset.to_str().unwrap()])
-        .output()
-        .expect("run generate");
-    assert!(out.status.success(), "generate failed: {}", String::from_utf8_lossy(&out.stderr));
-
-    let mut tables: Vec<String> = Vec::new();
-    for mode in ["full", "delta"] {
-        let table = tmp(&format!("modes-table-{mode}.json"));
-        let obs = tmp(&format!("modes-run-{mode}.json"));
-        let out = cli()
-            .args([
-                "infer",
-                "--dataset",
-                dataset.to_str().unwrap(),
-                "--infer-mode",
-                mode,
-                "--out",
-                table.to_str().unwrap(),
-                "--obs-out",
-                obs.to_str().unwrap(),
-            ])
-            .output()
-            .expect("run infer");
-        assert!(
-            out.status.success(),
-            "infer --infer-mode {mode} failed: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        tables.push(std::fs::read_to_string(&table).expect("read table"));
-
-        // The cache invariant holds in *both* engines: every visited
-        // snapshot is accounted as a hit or a miss, whichever path
-        // analyzed it.
-        let report = read_report(&obs);
-        let counters = get(&report, "counters");
-        let visited = as_u64(get(counters, "parse_snapshots_visited"));
-        let hits = as_u64(get(counters, "parse_cache_hits"));
-        let misses = as_u64(get(counters, "parse_cache_misses"));
-        assert!(visited > 0, "{mode} mode visited no snapshots");
-        assert_eq!(
-            hits + misses,
-            visited,
-            "{mode} mode cache accounting leak: {hits} + {misses} != {visited}"
-        );
-        let full_parses = as_u64(get(counters, "infer_full_parses"));
-        let reparsed = as_u64(get(counters, "infer_stanzas_reparsed"));
-        match mode {
-            "full" => assert!(full_parses > 0, "full mode must count its full parses"),
-            _ => {
-                assert_eq!(full_parses, 0, "delta mode must never full-parse");
-                assert!(reparsed > 0, "delta mode must count reparsed stanzas");
-            }
-        }
+/// Every phase a command runs prints exactly one `[mpa] <phase>: <elapsed>`
+/// line on stderr.
+fn assert_phase_lines(stderr: &[u8], phases: &[&str]) {
+    let stderr = String::from_utf8_lossy(stderr);
+    for phase in phases {
+        let prefix = format!("[mpa] {phase}: ");
+        let n = stderr.lines().filter(|l| l.starts_with(&prefix)).count();
+        assert_eq!(n, 1, "stderr must carry one {prefix:?} line:\n{stderr}");
     }
-    assert_eq!(tables[0], tables[1], "case tables must be byte-identical across modes");
-}
-
-#[test]
-fn gen_modes_agree_and_both_balance_the_render_cache() {
-    // The delta-native generator and the full-render oracle must emit
-    // byte-identical datasets, and the render-cache accounting must
-    // balance in both engines: every chunk render is a cache hit or a
-    // cache miss, never unaccounted.
-    let mut datasets: Vec<String> = Vec::new();
-    for mode in ["full", "delta"] {
-        let dataset = tmp(&format!("gen-mode-dataset-{mode}.json"));
-        let obs = tmp(&format!("gen-mode-run-{mode}.json"));
-        let out = cli()
-            .args([
-                "generate",
-                "--scale",
-                "tiny",
-                "--gen-mode",
-                mode,
-                "--out",
-                dataset.to_str().unwrap(),
-                "--obs-out",
-                obs.to_str().unwrap(),
-            ])
-            .output()
-            .expect("run generate");
-        assert!(
-            out.status.success(),
-            "generate --gen-mode {mode} failed: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        datasets.push(std::fs::read_to_string(&dataset).expect("read dataset"));
-
-        let report = read_report(&obs);
-        let counters = get(&report, "counters");
-        let rendered = as_u64(get(counters, "gen_chunks_rendered"));
-        let hits = as_u64(get(counters, "gen_render_cache_hits"));
-        let misses = as_u64(get(counters, "gen_render_cache_misses"));
-        assert_eq!(
-            hits + misses,
-            rendered,
-            "{mode} mode render-cache accounting leak: {hits} + {misses} != {rendered}"
-        );
-        let splices = as_u64(get(counters, "gen_splice_ops"));
-        let lines = as_u64(get(counters, "gen_lines_rendered"));
-        let bytes = as_u64(get(counters, "gen_bytes_rendered"));
-        match mode {
-            "delta" => {
-                assert!(rendered > 0, "delta mode renders through the chunk cache");
-                assert!(misses > 0, "novel chunk text must miss the cache");
-                assert!(hits > 0, "repeated chunk text must hit the cache");
-                assert!(splices > 0 && lines > 0 && bytes > 0, "delta work counters must tick");
-            }
-            _ => {
-                // The oracle renders whole documents: no chunk cache, no
-                // splices — every gen_* counter stays untouched.
-                for (name, v) in
-                    [("rendered", rendered), ("splices", splices), ("lines", lines)]
-                {
-                    assert_eq!(v, 0, "full mode must not tick gen_{name}");
-                }
-            }
-        }
-    }
-    assert_eq!(datasets[0], datasets[1], "datasets must be byte-identical across gen modes");
 }
 
 #[test]
 fn counter_totals_do_not_depend_on_thread_count() {
+    // The counter registry's contract: totals are a pure function of the
+    // work, never of the scheduling. Timings and the scheduling section may
+    // differ; outputs and the counters object must be identical at 1, 2
+    // and 8 threads.
+    let counters = |obs: &PathBuf| get(&read_report(obs), "counters").clone();
+    let peak_rss = |obs: &PathBuf| as_u64(get(&read_report(obs), "peak_rss_bytes"));
+    let run = |args: &[&str]| {
+        let out = cli().args(args).output().expect("run cli");
+        assert!(out.status.success(), "{args:?} failed: {}", String::from_utf8_lossy(&out.stderr));
+    };
+
+    // generate --scale small and infer: byte-identical files, identical
+    // counters, and per-worker buffers that stay bounded — peak RSS at 8
+    // threads is at most 1.6x the 1-thread run.
+    struct Run {
+        threads: &'static str,
+        files: [String; 2],
+        counters: [Value; 2],
+        peak_rss: [u64; 2],
+    }
+    let mut runs: Vec<Run> = Vec::new();
+    for threads in ["1", "2", "8"] {
+        let dataset = tmp(&format!("invariance-dataset-{threads}.json"));
+        let table = tmp(&format!("invariance-table-{threads}.json"));
+        let gen_obs = tmp(&format!("invariance-generate-{threads}.json"));
+        let infer_obs = tmp(&format!("invariance-infer-{threads}.json"));
+        run(&[
+            "generate",
+            "--scale",
+            "small",
+            "--threads",
+            threads,
+            "--out",
+            dataset.to_str().unwrap(),
+            "--obs-out",
+            gen_obs.to_str().unwrap(),
+        ]);
+        run(&[
+            "infer",
+            "--dataset",
+            dataset.to_str().unwrap(),
+            "--threads",
+            threads,
+            "--out",
+            table.to_str().unwrap(),
+            "--obs-out",
+            infer_obs.to_str().unwrap(),
+        ]);
+        let read = |p: &PathBuf| std::fs::read_to_string(p).expect("read output");
+        runs.push(Run {
+            threads,
+            files: [read(&dataset), read(&table)],
+            counters: [counters(&gen_obs), counters(&infer_obs)],
+            peak_rss: [peak_rss(&gen_obs), peak_rss(&infer_obs)],
+        });
+    }
+    let one = &runs[0];
+    for r in &runs[1..] {
+        for (i, phase) in ["generate", "infer"].into_iter().enumerate() {
+            let threads = r.threads;
+            assert!(r.files[i] == one.files[i], "{phase} output differs at --threads {threads}");
+            assert_eq!(
+                r.counters[i], one.counters[i],
+                "{phase} counters differ at --threads {threads}"
+            );
+            if threads == "8" && one.peak_rss[i] > 0 {
+                let ratio = r.peak_rss[i] as f64 / one.peak_rss[i] as f64;
+                assert!(
+                    ratio <= 1.6,
+                    "{phase} peak RSS at 8 threads is {ratio:.2}x the 1-thread run"
+                );
+            }
+        }
+    }
+
+    // The analytics: report on one table at each thread count.
     let table = tiny_table("invariance");
     let mut snapshots: Vec<(String, Value)> = Vec::new();
     for threads in ["1", "2", "8"] {
         let obs = tmp(&format!("invariance-run-{threads}.json"));
-        let out = cli()
-            .args([
-                "report",
-                "--table",
-                table.to_str().unwrap(),
-                "--causal-top",
-                "2",
-                "--threads",
-                threads,
-                "--obs-out",
-                obs.to_str().unwrap(),
-            ])
-            .output()
-            .expect("run report");
-        assert!(
-            out.status.success(),
-            "report --threads {threads} failed: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let report = read_report(&obs);
-        snapshots.push((threads.to_string(), get(&report, "counters").clone()));
+        run(&[
+            "report",
+            "--table",
+            table.to_str().unwrap(),
+            "--causal-top",
+            "2",
+            "--threads",
+            threads,
+            "--obs-out",
+            obs.to_str().unwrap(),
+        ]);
+        snapshots.push((threads.to_string(), counters(&obs)));
     }
-    // The counter registry's contract: totals are a pure function of the
-    // work, never of the scheduling. Timings and the scheduling section may
-    // differ; the counters object must be identical at 1, 2 and 8 threads.
     let (ref_threads, reference) = &snapshots[0];
     for (threads, counters) in &snapshots[1..] {
         assert_eq!(

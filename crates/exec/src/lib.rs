@@ -266,38 +266,6 @@ pub fn stream_seed(master: u64, stream: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Run `f` as an observability span named `label`, additionally printing
-/// `[mpa] <label>: <elapsed>` to stderr when phase timing is enabled (the
-/// binaries enable it; library/test callers don't).
-///
-/// This is a thin shim over [`mpa_obs::span`]: the span records into the
-/// run report whenever a collector is installed (`--obs-out`), and the
-/// stderr line keeps the historical `timed_phase` behavior for existing
-/// call sites.
-pub fn timed_phase<R>(label: &str, f: impl FnOnce() -> R) -> R {
-    mpa_obs::span(label, || {
-        if !phase_timing_enabled() {
-            return f();
-        }
-        let start = Instant::now();
-        let result = f();
-        eprintln!("[mpa] {label}: {:.2?}", start.elapsed());
-        result
-    })
-}
-
-static PHASE_TIMING: AtomicUsize = AtomicUsize::new(0);
-
-/// Enable or disable [`timed_phase`] output (off by default).
-pub fn set_phase_timing(on: bool) {
-    PHASE_TIMING.store(usize::from(on), Ordering::Relaxed);
-}
-
-/// Whether [`timed_phase`] currently prints.
-pub fn phase_timing_enabled() -> bool {
-    PHASE_TIMING.load(Ordering::Relaxed) != 0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,7 +6,8 @@
 //! rule name appearing in documentation or in a string constant never
 //! fires. Allowlists are path prefixes relative to the workspace root: the
 //! few crates whose *job* is timing or scheduling (`mpa-obs`, `mpa-exec`,
-//! `mpa-bench`) may legitimately touch wall clocks and thread identity, and
+//! and `mpa-serve` for its socket deadlines) may legitimately touch wall
+//! clocks and thread identity, and
 //! CLI binaries under `src/bin/` own argument/environment handling. Any
 //! site outside an allowlist needs an inline waiver with a written
 //! justification (see [`crate::scan`] for the waiver grammar).
@@ -158,12 +159,10 @@ impl Rule {
         match self {
             // Float order and hash order are never excusable by location.
             Rule::R1 | Rule::R2 => false,
-            // obs spans, bench timing, the exec phase-timing shim and the
-            // serve daemon (request latency, idle deadlines, socket
-            // timeouts) are the sanctioned consumers of wall clocks.
-            Rule::R3 => {
-                under(&["crates/obs/", "crates/bench/", "crates/exec/", "crates/serve/"])
-            }
+            // obs spans, exec scheduling stats and the serve daemon
+            // (request latency, idle deadlines, socket timeouts) are the
+            // sanctioned consumers of wall clocks.
+            Rule::R3 => under(&["crates/obs/", "crates/exec/", "crates/serve/"]),
             // Scheduling stats (exec) and their reporting (obs) are
             // quarantined by design; see DESIGN.md §9.
             Rule::R4 | Rule::R5 => under(&["crates/obs/", "crates/exec/"]),
@@ -220,13 +219,13 @@ mod tests {
     #[test]
     fn allowlists_cover_the_sanctioned_crates() {
         assert!(Rule::R3.allowed_path("crates/obs/src/span.rs"));
-        assert!(Rule::R3.allowed_path("crates/bench/src/pipeline_bench.rs"));
+        assert!(!Rule::R3.allowed_path("crates/bench/src/bin/repro.rs"));
         assert!(Rule::R3.allowed_path("crates/exec/src/lib.rs"));
         assert!(Rule::R3.allowed_path("crates/serve/src/server.rs"));
         assert!(!Rule::R3.allowed_path("crates/core/src/causal.rs"));
         assert!(!Rule::R4.allowed_path("crates/serve/src/server.rs"));
         assert!(Rule::R4.allowed_path("crates/exec/src/lib.rs"));
-        assert!(!Rule::R4.allowed_path("crates/bench/src/pipeline_bench.rs"));
+        assert!(!Rule::R4.allowed_path("crates/bench/src/bin/repro.rs"));
         assert!(Rule::R6.allowed_path("crates/core/src/bin/mpa-cli.rs"));
         assert!(!Rule::R6.allowed_path("crates/exec/src/lib.rs"));
         assert!(!Rule::R1.allowed_path("crates/obs/src/span.rs"));

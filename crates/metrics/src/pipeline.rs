@@ -11,14 +11,14 @@
 //! 3. **events** — change records chained with the δ heuristic (O4);
 //! 4. **health** — incident tickets per month, planned maintenance excluded.
 //!
-//! Two interchangeable engines produce the change records and facts
-//! ([`InferMode`]): the **delta-native** default replays the archive's
+//! Two interchangeable engines produce the change records and facts: the
+//! **delta-native** production path ([`infer`]) replays the archive's
 //! line-id deltas through [`DeltaInference`], re-parsing only segments
-//! whose line span changed; the **full** oracle materializes every
-//! distinct text and runs the whole parser on each. Their outputs are
-//! byte-identical (golden- and property-tested) — the delta path just
-//! does string work proportional to changed bytes instead of archive
-//! bytes.
+//! whose line span changed; the **full** oracle ([`infer_full`])
+//! materializes every distinct text and runs the whole parser on each.
+//! Their outputs are byte-identical (golden- and property-tested) — the
+//! delta path just does string work proportional to changed bytes instead
+//! of archive bytes. Only the equivalence tests call the oracle.
 //!
 //! Network-months without logging coverage are dropped, mirroring the
 //! paper's missing-snapshot months (≈11K usable cases out of 850 × 17).
@@ -52,37 +52,6 @@ const GAP_SPAN_MINUTES: u64 = 45 * 24 * 60;
 /// a few KiB — reallocation-free.
 const REPLAY_ARENA_CAP_BYTES: usize = 1 << 20;
 
-/// Which engine derives change records and month-end facts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InferMode {
-    /// Materialize every distinct snapshot text and run the full parser on
-    /// each — the original pipeline, retained as the equivalence oracle.
-    Full,
-    /// Replay the archive's line-id deltas and re-parse only segments
-    /// whose line span changed (the default).
-    #[default]
-    Delta,
-}
-
-impl InferMode {
-    /// Parse a CLI flag value (`"full"` / `"delta"`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "full" => Some(Self::Full),
-            "delta" => Some(Self::Delta),
-            _ => None,
-        }
-    }
-
-    /// The flag spelling, for reports and usage text.
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::Full => "full",
-            Self::Delta => "delta",
-        }
-    }
-}
-
 /// Everything inference produces. The case table drives the analytics; the
 /// per-network change records additionally back the δ-sensitivity and
 /// change-characterization figures (Figs 3, 12, 13).
@@ -100,16 +69,19 @@ pub fn infer_case_table(dataset: &Dataset) -> CaseTable {
 }
 
 /// Run the full inference pipeline with an explicit event window, using
-/// the default (delta-native) engine.
+/// the delta-native engine.
 pub fn infer(dataset: &Dataset, delta_minutes: u64) -> Inference {
-    infer_with_mode(dataset, delta_minutes, InferMode::default())
+    infer_networks(dataset, &NetworkInferCtx::new(dataset, delta_minutes))
 }
 
-/// Run the full inference pipeline with an explicit event window and
-/// engine choice.
-pub fn infer_with_mode(dataset: &Dataset, delta_minutes: u64, mode: InferMode) -> Inference {
-    let ctx = NetworkInferCtx::new(dataset, delta_minutes, mode);
+/// [`infer`] through the full-parse oracle: every distinct snapshot text
+/// is materialized and parsed whole. Byte-identical to [`infer`] by
+/// contract; the equivalence tests are its only callers.
+pub fn infer_full(dataset: &Dataset, delta_minutes: u64) -> Inference {
+    infer_networks(dataset, &NetworkInferCtx::build(dataset, delta_minutes, None))
+}
 
+fn infer_networks(dataset: &Dataset, ctx: &NetworkInferCtx) -> Inference {
     // Each network's inference reads only shared immutable state (dataset,
     // ticket counts, line classes) and produces its own case rows, so
     // networks fan out across worker threads; merging in network order
@@ -129,11 +101,11 @@ pub fn infer_with_mode(dataset: &Dataset, delta_minutes: u64, mode: InferMode) -
 }
 
 /// Shared read-only context for inferring individual networks against a
-/// dataset: the per-`(network, month)` incident-ticket counts and (in delta
-/// mode) the line classification, both pure functions of the dataset's
-/// ticket stream and archive intern table.
+/// dataset: the per-`(network, month)` incident-ticket counts and the line
+/// classification, both pure functions of the dataset's ticket stream and
+/// archive intern table.
 ///
-/// `infer_with_mode` builds one per batch run; long-lived callers (the
+/// [`infer`] builds one per batch run; long-lived callers (the
 /// `mpa-serve` resident session) rebuild it whenever the archive or ticket
 /// stream grows and then re-infer only the networks an ingested event
 /// touched. Because [`Self::infer_network`] is the exact parallel unit of
@@ -150,7 +122,16 @@ pub struct NetworkInferCtx {
 
 impl NetworkInferCtx {
     /// Build the context from the dataset's current tickets and archive.
-    pub fn new(dataset: &Dataset, delta_minutes: u64, mode: InferMode) -> Self {
+    pub fn new(dataset: &Dataset, delta_minutes: u64) -> Self {
+        // Line classification is a pure function of the archive's intern
+        // table: built once, shared read-only by every network's delta
+        // engine.
+        Self::build(dataset, delta_minutes, Some(LineClasses::new(&dataset.archive)))
+    }
+
+    /// `classes` selects the engine for `infer_network`: `Some` runs
+    /// delta-native inference, `None` the full-parse oracle.
+    fn build(dataset: &Dataset, delta_minutes: u64, classes: Option<LineClasses>) -> Self {
         // Incident tickets per (network, month).
         let mut tickets: BTreeMap<(NetworkId, usize), f64> = BTreeMap::new();
         for t in &dataset.tickets {
@@ -161,13 +142,6 @@ impl NetworkInferCtx {
                 *tickets.entry((t.network, m)).or_insert(0.0) += 1.0;
             }
         }
-        // Line classification is a pure function of the archive's intern
-        // table: built once, shared read-only by every network's delta
-        // engine. `Some` doubles as the mode switch for `infer_network`.
-        let classes = match mode {
-            InferMode::Delta => Some(LineClasses::new(&dataset.archive)),
-            InferMode::Full => None,
-        };
         Self { tickets, classes, n_months: dataset.period.n_months(), delta_minutes }
     }
 
@@ -355,7 +329,7 @@ fn infer_network(
 
 /// Full-parse oracle for one device: materialize every distinct snapshot
 /// text and run the whole parser on each. Retained as the equivalence
-/// oracle for the delta path (`--infer-mode full`).
+/// oracle for the delta path ([`infer_full`]).
 fn infer_device_full(
     dataset: &Dataset,
     device: &mpa_model::Device,
@@ -609,8 +583,8 @@ mod tests {
     #[test]
     fn delta_and_full_modes_agree_exactly() {
         let ds = tiny();
-        let full = infer_with_mode(&ds, DELTA_DEFAULT_MINUTES, InferMode::Full);
-        let delta = infer_with_mode(&ds, DELTA_DEFAULT_MINUTES, InferMode::Delta);
+        let full = infer_full(&ds, DELTA_DEFAULT_MINUTES);
+        let delta = infer(&ds, DELTA_DEFAULT_MINUTES);
         assert_eq!(full.device_changes, delta.device_changes);
         assert_eq!(full.table, delta.table);
     }

@@ -103,8 +103,9 @@ pub static GEN_RENDER_CACHE_HITS: Counter = Counter::new("gen_render_cache_hits"
 pub static GEN_RENDER_CACHE_MISSES: Counter = Counter::new("gen_render_cache_misses");
 /// Config lines produced by chunk renders (hit or miss). The delta path's
 /// analogue of the full path's per-snapshot line count — compare against
-/// `archive_line_hits + archive_lines_interned` under `--gen-mode full`
-/// for the cost-proportional-to-changed-lines claim.
+/// `archive_line_hits + archive_lines_interned` under the full-render
+/// oracle (`Scenario::generate_full`) for the cost-proportional-to-
+/// changed-lines claim.
 pub static GEN_LINES_RENDERED: Counter = Counter::new("gen_lines_rendered");
 /// Bytes of chunk text produced by the delta-native generator. Compare
 /// against the ~1.7 GB the full-render oracle produces at paper scale.
@@ -124,9 +125,9 @@ pub static PARSE_CACHE_MISSES: Counter = Counter::new("parse_cache_misses");
 
 // --- delta-native inference (incremented by mpa-config / mpa-metrics) ----
 
-/// Whole-snapshot parses performed by the full-parse oracle path
-/// (`--infer-mode full`); the delta-native path performs none, which is
-/// exactly the point.
+/// Whole-snapshot parses performed by the full-parse oracle
+/// (`mpa_metrics::infer_full`); the delta-native path performs none, which
+/// is exactly the point.
 pub static INFER_FULL_PARSES: Counter = Counter::new("infer_full_parses");
 /// Stanzas parsed by the delta-native path: stanzas of segments not
 /// already present in the per-network segment cache (novel text only).

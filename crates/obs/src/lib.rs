@@ -11,8 +11,8 @@
 //!   label-free relaxed atomics, declared statically in one central
 //!   registry. Incrementing is always on (a relaxed `fetch_add` is the
 //!   entire cost); every registered counter is deterministic and
-//!   thread-count invariant, which the CLI integration tests and the
-//!   pipeline bench enforce at 1/2/8 workers.
+//!   thread-count invariant, which the CLI integration tests enforce at
+//!   1/2/8 workers.
 //! * **Coverage** ([`coverage`]) — which parts of the scenario space a
 //!   generated corpus exercised (stanza kinds, change types, dialects,
 //!   degradation knobs). Items are declared up front and recorded when
@@ -20,18 +20,19 @@
 //!   on a committed baseline.
 //! * **Spans** ([`span`]) — hierarchical wall-time regions. A span is a
 //!   no-op unless a collector is installed ([`install_collector`]), so
-//!   library and test callers pay one atomic load per span. The binaries
-//!   install the collector when `--obs-out` is given.
+//!   library and test callers pay one atomic load per span. Spans are the
+//!   only timer: `mpa-cli` always installs the collector and prints one
+//!   stderr line per root span; `repro` and `mpa-serve` install it when
+//!   `--obs-out` is given.
 //! * **The run report** ([`RunReport`]) — a JSON snapshot of the span
 //!   tree, all counters and gauges, per-worker scheduling stats and peak
 //!   RSS, written next to a run's outputs so perf regressions come with
 //!   an explanation attached.
 //!
-//! Scheduling stats ([`sched`]) and generate-phase time accumulators
-//! ([`phases`]) are the deliberately thread-count-*dependent* sections:
-//! per-worker task counts, region imbalance and accumulated phase
-//! nanoseconds describe how (and how long) work was scheduled, so they
-//! live outside the invariant counter registry.
+//! Scheduling stats ([`sched`]) are the deliberately thread-count-
+//! *dependent* section: per-worker task counts and region imbalance
+//! describe how work was scheduled, so they live outside the invariant
+//! counter registry.
 //!
 //! See DESIGN.md §9 for the architecture and the rules for adding a
 //! counter.
@@ -40,7 +41,6 @@ pub mod counters;
 pub mod coverage;
 pub mod gauges;
 pub mod json;
-pub mod phases;
 mod report;
 pub mod sched;
 mod span;
@@ -48,4 +48,4 @@ mod span;
 pub use counters::Counter;
 pub use gauges::Gauge;
 pub use report::{peak_rss_bytes, RunReport};
-pub use span::{annotate_span, collector_installed, install_collector, span, take_spans, SpanNode};
+pub use span::{collector_installed, install_collector, span, take_spans, SpanNode};

@@ -23,10 +23,6 @@ pub struct RunReport {
     /// Scenario coverage: per dimension, the exercised counts of every
     /// declared item (zeros mark declared-but-unexercised items).
     pub coverage: Vec<(String, Vec<(String, u64)>)>,
-    /// Generate-phase time accumulators in nanoseconds (wall-clock
-    /// measurements, thread-count dependent by design — quarantined from
-    /// the counters section like `sched`).
-    pub phases: Vec<(&'static str, u64)>,
     /// Per-worker scheduling stats (thread-count dependent by design).
     pub sched: SchedSnapshot,
     /// The recorded span tree (drained from the collector).
@@ -45,7 +41,6 @@ impl RunReport {
             counters: counters::snapshot(),
             gauges: gauges::snapshot(),
             coverage: crate::coverage::snapshot(),
-            phases: crate::phases::snapshot(),
             sched: crate::sched::snapshot(),
             spans: take_spans(),
         }
@@ -66,8 +61,6 @@ impl RunReport {
         push_u64_object(&mut out, &self.gauges, 2);
         out.push_str(",\n  \"coverage\": ");
         push_coverage(&mut out, &self.coverage);
-        out.push_str(",\n  \"phases_ns\": ");
-        push_u64_object(&mut out, &self.phases, 2);
         out.push_str(",\n  \"scheduling\": {\n    \"worker_tasks\": ");
         push_u64_array(&mut out, &self.sched.worker_tasks);
         out.push_str(&format!(
@@ -165,7 +158,6 @@ mod tests {
                 "dialect".to_string(),
                 vec![("block-keyword".to_string(), 7), ("brace\"x".to_string(), 0)],
             )],
-            phases: vec![("simulate", 1_000), ("render", 2_000)],
             sched: SchedSnapshot {
                 worker_tasks: vec![7, 5],
                 parallel_regions: 3,
@@ -191,8 +183,6 @@ mod tests {
         assert!(json.contains("\"worker_tasks\": [7, 5]"));
         assert!(json.contains("\"block-keyword\": 7"));
         assert!(json.contains("\"brace\\\"x\": 0"));
-        assert!(json.contains("\"phases_ns\""));
-        assert!(json.contains("\"simulate\": 1000"));
         assert!(json.contains("\"effective_parallelism\": 1.500"));
         assert!(json.contains("\"max_region_workers\": 2"));
         assert!(json.contains("\"label\": \"infer \\\"x\\\"\""));

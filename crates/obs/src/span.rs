@@ -150,34 +150,6 @@ pub fn span<R>(label: &str, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Record an already-measured duration as a closed span under the current
-/// innermost open span (or at the root when none is open).
-///
-/// This is how externally-accumulated phase times (see
-/// [`crate::phases`]) enter the span tree: a phase like `render` is
-/// interleaved per-snapshot across worker threads, so there is no
-/// contiguous wall region to wrap with [`span`]. The reported duration is
-/// whatever the caller measured — for worker-summed accumulators it can
-/// exceed the parent span's wall time.
-pub fn annotate_span(label: &str, wall_nanos: u64) {
-    if !collector_installed() {
-        return;
-    }
-    let mut guard = lock();
-    let Some(col) = guard.as_mut() else {
-        return;
-    };
-    let parent = STACK
-        .with(|s| s.borrow().last().copied())
-        .or_else(|| col.fallback.last().copied());
-    col.recs.push(Rec {
-        label: label.to_string(),
-        parent,
-        start: Instant::now(),
-        nanos: Some(wall_nanos),
-    });
-}
-
 /// Take the recorded span tree, leaving the collector installed and
 /// empty. Spans still open at take time report their elapsed-so-far wall
 /// time and will not be re-recorded when they close.
@@ -271,18 +243,6 @@ mod tests {
         assert_eq!(roots.len(), 1);
         assert_eq!(roots[0].children.len(), 1);
         assert_eq!(roots[0].children[0].label, "worker");
-    }
-
-    #[test]
-    fn annotate_attaches_under_the_open_span_with_the_given_duration() {
-        let _t = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        install_collector();
-        span("phase", || annotate_span("render", 1234));
-        let roots = take_spans();
-        assert_eq!(roots.len(), 1);
-        assert_eq!(roots[0].children.len(), 1);
-        assert_eq!(roots[0].children[0].label, "render");
-        assert_eq!(roots[0].children[0].wall_nanos, 1234);
     }
 
     #[test]

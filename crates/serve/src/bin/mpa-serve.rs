@@ -3,8 +3,7 @@
 //! ```text
 //! mpa-serve --dataset dataset.json [--addr 127.0.0.1:7878] [--threads N]
 //!           [--queue-cap N] [--idle-secs N] [--delta MIN]
-//!           [--infer-mode delta|full] [--causal-top N] [--classes 2|5]
-//!           [--obs-out run.json]
+//!           [--causal-top N] [--classes 2|5] [--obs-out run.json]
 //! ```
 //!
 //! The dataset is loaded and inferred once; queries are answered from the
@@ -14,7 +13,6 @@
 
 use mpa_core::predict::HealthClasses;
 use mpa_core::{AnalyticsSession, SessionConfig};
-use mpa_metrics::InferMode;
 use mpa_serve::{Server, ServerConfig};
 use mpa_synth::Dataset;
 
@@ -24,8 +22,7 @@ fn usage_and_exit() -> ! {
          usage:\n\
            mpa-serve --dataset dataset.json [--addr HOST:PORT] [--threads N]\n\
                      [--queue-cap N] [--idle-secs N] [--delta MIN]\n\
-                     [--infer-mode delta|full] [--causal-top N] [--classes 2|5]\n\
-                     [--obs-out run.json]\n\n\
+                     [--causal-top N] [--classes 2|5] [--obs-out run.json]\n\n\
          endpoints: GET /healthz, /networks/:id/practices, /rankings/mi,\n\
          /causal/summary, /predict[?network=N&month=M]; POST /ingest, /shutdown"
     );
@@ -49,7 +46,6 @@ struct Opts {
     queue_cap: usize,
     idle_secs: Option<u64>,
     delta: Option<u64>,
-    infer_mode: InferMode,
     causal_top: usize,
     classes: HealthClasses,
     obs_out: Option<String>,
@@ -63,7 +59,6 @@ impl Opts {
         let mut queue_cap = ServerConfig::default().queue_cap;
         let mut idle_secs = None;
         let mut delta = None;
-        let mut infer_mode = InferMode::default();
         let mut causal_top = SessionConfig::default().causal_top;
         let mut classes = HealthClasses::Two;
         let mut obs_out = None;
@@ -82,13 +77,6 @@ impl Opts {
                 "--queue-cap" => queue_cap = parse_num("--queue-cap", &value()),
                 "--idle-secs" => idle_secs = Some(parse_num("--idle-secs", &value())),
                 "--delta" => delta = Some(parse_num("--delta", &value())),
-                "--infer-mode" => {
-                    let raw = value();
-                    infer_mode = InferMode::parse(&raw).unwrap_or_else(|| {
-                        eprintln!("--infer-mode must be \"delta\" or \"full\", got {raw:?}");
-                        std::process::exit(2);
-                    });
-                }
                 "--causal-top" => causal_top = parse_num("--causal-top", &value()),
                 "--classes" => {
                     classes = match value().as_str() {
@@ -119,7 +107,6 @@ impl Opts {
             queue_cap,
             idle_secs,
             delta,
-            infer_mode,
             causal_top,
             classes,
             obs_out,
@@ -149,7 +136,6 @@ fn main() {
 
     let session_config = SessionConfig {
         delta_minutes: opts.delta.unwrap_or(mpa_metrics::DELTA_DEFAULT_MINUTES),
-        mode: opts.infer_mode,
         causal_top: opts.causal_top,
         classes: opts.classes,
     };

@@ -11,7 +11,9 @@
 //!   batch (which the root `serve_session` property test in turn pins to
 //!   a cold batch run);
 //! * malformed requests get 4xx responses, never a hung or dead daemon;
-//! * graceful shutdown drains, exits 0, and writes the obs report;
+//! * graceful shutdown after load — 4 keep-alive clients and interleaved
+//!   ingests get only 2xx responses; the daemon then drains, exits 0, and
+//!   writes an obs report whose counters account for every request;
 //! * `--idle-secs` lets the daemon retire itself.
 
 use mpa_core::{AnalyticsSession, IngestBatch, SessionConfig};
@@ -122,8 +124,8 @@ impl Drop for Daemon {
 fn request(addr: &str, method: &str, path: &str, body: &str) -> (u16, String) {
     let stream = TcpStream::connect(addr).expect("connect to daemon");
     stream.set_read_timeout(Some(Duration::from_secs(30))).expect("read timeout");
-    raw_request(
-        stream,
+    exchange(
+        &mut BufReader::new(stream),
         &format!(
             "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
             body.len()
@@ -132,14 +134,14 @@ fn request(addr: &str, method: &str, path: &str, body: &str) -> (u16, String) {
     .expect("well-formed request gets a response")
 }
 
-/// Write raw bytes, read one full response. `None` if the daemon closed
-/// the connection without responding (it never should — even garbage gets
-/// a 4xx).
-fn raw_request(stream: TcpStream, payload: &str) -> Option<(u16, String)> {
-    let mut writer = stream.try_clone().expect("clone stream");
+/// Write raw bytes on the connection behind `reader` and read one full
+/// response; the connection stays open for the next exchange (keep-alive).
+/// `None` if the daemon closed the connection without responding (it never
+/// should — even garbage gets a 4xx).
+fn exchange(reader: &mut BufReader<TcpStream>, payload: &str) -> Option<(u16, String)> {
+    let writer = reader.get_mut();
     writer.write_all(payload.as_bytes()).ok()?;
     writer.flush().ok()?;
-    let mut reader = BufReader::new(stream);
     let mut status_line = String::new();
     if reader.read_line(&mut status_line).ok()? == 0 {
         return None;
@@ -310,7 +312,7 @@ fn rejected_and_malformed_requests_get_4xx_and_the_daemon_survives() {
     for (payload, want) in raw_cases {
         let stream = TcpStream::connect(&daemon.addr).expect("connect");
         stream.set_read_timeout(Some(Duration::from_secs(30))).expect("read timeout");
-        let (status, _) = raw_request(stream, payload)
+        let (status, _) = exchange(&mut BufReader::new(stream), payload)
             .unwrap_or_else(|| panic!("no response to {payload:?}"));
         assert_eq!(status, *want, "payload {payload:?}");
     }
@@ -347,21 +349,92 @@ fn rejected_and_malformed_requests_get_4xx_and_the_daemon_survives() {
 
 #[test]
 fn graceful_shutdown_drains_and_writes_the_obs_report() {
+    // Load first: 4 keep-alive clients send 400 requests over the five
+    // GETs, with a one-ticket ingest every 50th request.
+    const CLIENTS: usize = 4;
+    const REQUESTS: usize = 400;
+    const INGEST_EVERY: usize = 50;
     let report =
         std::env::temp_dir().join(format!("mpa_serve_report_{}.json", std::process::id()));
     let _ = std::fs::remove_file(&report);
-    let mut daemon =
-        Daemon::spawn(&["--obs-out", report.to_str().expect("utf-8 path")]);
-    for _ in 0..3 {
-        assert_eq!(daemon.get("/healthz").0, 200);
-    }
+    let mut daemon = Daemon::spawn(&["--obs-out", report.to_str().expect("utf-8 path")]);
+    let session = tiny_session();
+    let nets: Vec<NetworkId> = session.dataset().networks.iter().map(|n| n.id).collect();
+    let horizon = session.dataset().period.total_minutes();
+    let (net, month) = known_case();
+    let paths = [
+        "/healthz".to_string(),
+        format!("/networks/{net}/practices"),
+        "/rankings/mi".to_string(),
+        "/causal/summary".to_string(),
+        format!("/predict?network={net}&month={month}"),
+    ];
+    // Request `seq` of the run: every 50th is a one-ticket ingest, the
+    // rest cycle through the five GETs.
+    let request = |seq: usize| -> String {
+        if seq % INGEST_EVERY != INGEST_EVERY - 1 {
+            let path = &paths[seq % paths.len()];
+            return format!("GET {path} HTTP/1.1\r\nHost: test\r\nContent-Length: 0\r\n\r\n");
+        }
+        let batch = IngestBatch {
+            snapshots: vec![],
+            tickets: vec![Ticket {
+                id: TicketId(91_000_000 + seq as u32),
+                network: nets[seq % nets.len()],
+                kind: TicketKind::MonitoringAlarm,
+                opened: Timestamp(seq as u64 * 37 % horizon),
+                resolved: None,
+                devices: vec![],
+                severity: TicketSeverity::Low,
+                symptom: "load test".to_string(),
+            }],
+        };
+        let body = serde_json::to_string(&batch).expect("batch serializes");
+        format!(
+            "POST /ingest HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+    };
+
+    // Each client owns requests c, c + 4, c + 8, ... on one connection.
+    std::thread::scope(|scope| {
+        for client in 0..CLIENTS {
+            let (addr, request) = (&daemon.addr, &request);
+            scope.spawn(move || {
+                let stream = TcpStream::connect(addr).expect("connect to daemon");
+                stream.set_read_timeout(Some(Duration::from_secs(30))).expect("read timeout");
+                let mut conn = BufReader::new(stream);
+                for seq in (client..REQUESTS).step_by(CLIENTS) {
+                    let (status, body) = exchange(&mut conn, &request(seq))
+                        .unwrap_or_else(|| panic!("client {client}: no response to request {seq}"));
+                    assert!((200..300).contains(&status), "request {seq}: {status} {body}");
+                }
+            });
+        }
+    });
     let status = daemon.shutdown();
     assert!(status.success(), "daemon exit status {status}");
+
+    // The daemon's own account: one 2xx per request sent (the shutdown
+    // included), every posted ticket applied, and the session build span.
     let text = std::fs::read_to_string(&report).expect("obs report written on shutdown");
-    for needle in ["serve_requests", "serve_responses_2xx", "serve build session"] {
-        assert!(text.contains(needle), "report lacks {needle}");
-    }
     let _ = std::fs::remove_file(&report);
+    assert!(text.contains("serve build session"), "report lacks the session build span");
+    let report: serde::Value = serde_json::from_str(&text).expect("report is JSON");
+    let counter = |name: &str| -> u64 {
+        let counters = report.as_object().and_then(|o| o.iter().find(|(k, _)| k == "counters"));
+        let value = counters
+            .and_then(|(_, c)| c.as_object())
+            .and_then(|c| c.iter().find(|(k, _)| k == name))
+            .map(|(_, v)| v);
+        match value {
+            Some(serde::Value::Num(serde::Number::U64(n))) => *n,
+            Some(serde::Value::Num(serde::Number::I64(n))) => u64::try_from(*n).expect("count"),
+            other => panic!("counter {name}: {other:?}"),
+        }
+    };
+    assert_eq!(counter("serve_responses_2xx"), REQUESTS as u64 + 1);
+    assert_eq!(counter("serve_ingest_tickets"), (REQUESTS / INGEST_EVERY) as u64);
 }
 
 #[test]

@@ -11,7 +11,7 @@
 //! (`kept + dropped == generated`) are checkable in the RunReport.
 //!
 //! Degradation runs on the worker threads, per network, *after*
-//! [`crate::ops::simulate_network`] — the ground truth ([`crate::ops::MonthTruth`])
+//! `simulate_network` — the ground truth ([`crate::ops::MonthTruth`])
 //! is recorded from the pristine simulation, so experiments can measure how
 //! far degraded inference drifts from what actually happened.
 

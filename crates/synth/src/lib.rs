@@ -52,7 +52,6 @@ pub use coverage::CoverageReport;
 pub use dataset::{Dataset, DatasetSummary, GroundTruth};
 pub use degrade::{DegradeSpec, DegradeStats};
 pub use health::HealthModel;
-pub use ops::GenMode;
 pub use profile::{NetworkProfile, OrgConfig};
 pub use scenario::Scenario;
 pub use survey::{ImpactOpinion, SurveyPractice, SurveyResponse};

@@ -25,49 +25,10 @@ use mpa_model::device::Dialect;
 use mpa_model::{
     DeviceId, Role, StudyPeriod, Ticket, TicketId, TicketKind, TicketSeverity, Timestamp,
 };
-use mpa_obs::phases;
 use mpa_stats::Sampler;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-
-/// Which rendering engine produces the archived snapshot text.
-///
-/// Both modes produce **byte-identical archives**: delta mode re-renders
-/// only the chunks an op dirtied (see [`mpa_config::chunk`]) and emits
-/// interned line-id sequences straight into the [`ArchiveBuilder`], while
-/// full mode renders every device document from scratch on every snapshot.
-/// Full mode is retained as the equivalence oracle (`--gen-mode full`),
-/// mirroring the inference layer's `InferMode`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GenMode {
-    /// Render the whole document for every snapshot — the original path,
-    /// O(fleet size) per change, kept as the oracle.
-    Full,
-    /// Re-render only dirty chunks and splice interned line ids (the
-    /// default): generation cost proportional to changed bytes.
-    #[default]
-    Delta,
-}
-
-impl GenMode {
-    /// Parse a CLI flag value (`"full"` / `"delta"`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "full" => Some(Self::Full),
-            "delta" => Some(Self::Delta),
-            _ => None,
-        }
-    }
-
-    /// The flag spelling, for reports and usage text.
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::Full => "full",
-            Self::Delta => "delta",
-        }
-    }
-}
 
 /// Live rendered document of one device in delta mode: the render-cache
 /// slot of every non-empty chunk, the total byte length, and the chunk
@@ -193,41 +154,29 @@ pub struct SimConfig {
 }
 
 /// Simulate one network across the whole period, mutating its configs.
-/// Renders snapshots with the default [`GenMode`].
+///
+/// Snapshots are rendered delta-natively: only the chunks an op dirtied
+/// are re-rendered (see [`mpa_config::chunk`]), and interned line-id
+/// sequences go straight into the [`ArchiveBuilder`]. `full_render`
+/// selects the oracle instead, which renders every device document from
+/// scratch on every snapshot ([`crate::Scenario::generate_full`]). Both
+/// draw identical RNG streams and produce byte-identical archives.
 ///
 /// `ticket_seq` is the organization-wide ticket id allocator.
-pub fn simulate_network<R: Rng>(
-    gen: &mut GeneratedNetwork,
-    profile: &NetworkProfile,
-    period: &StudyPeriod,
-    health: &HealthModel,
-    sim: SimConfig,
-    ticket_seq: &mut u32,
-    rng: &mut R,
-) -> NetworkSimOutput {
-    simulate_network_with_mode(gen, profile, period, health, sim, GenMode::default(), ticket_seq, rng)
-}
-
-/// [`simulate_network`] with an explicit snapshot-rendering mode. The two
-/// modes draw identical RNG streams and produce byte-identical archives;
-/// only the rendering work differs.
 #[allow(clippy::too_many_arguments)]
-pub fn simulate_network_with_mode<R: Rng>(
+pub(crate) fn simulate_network<R: Rng>(
     gen: &mut GeneratedNetwork,
     profile: &NetworkProfile,
     period: &StudyPeriod,
     health: &HealthModel,
     sim: SimConfig,
-    mode: GenMode,
+    full_render: bool,
     ticket_seq: &mut u32,
     rng: &mut R,
 ) -> NetworkSimOutput {
     let mut out = NetworkSimOutput::default();
     let mut builder = ArchiveBuilder::new();
-    let mut live = match mode {
-        GenMode::Delta => Some(LiveState::new()),
-        GenMode::Full => None,
-    };
+    let mut live = (!full_render).then(LiveState::new);
     let mut rev: u64 = 0; // monotonically increasing edit revision
 
     let statics = TrueStatics {
@@ -258,7 +207,7 @@ pub fn simulate_network_with_mode<R: Rng>(
         for d in &gen.network.devices {
             let login = Login::new(format!("op{}", s.uniform_range(0, 3)));
             let cfg = &gen.configs[&d.id];
-            phases::time(&phases::GEN_RENDER, || match &mut live {
+            match &mut live {
                 Some(state) => {
                     let doc = state.docs.entry(d.id).or_default();
                     doc.dirty = chunk::chunk_keys(cfg).into_iter().collect();
@@ -269,7 +218,7 @@ pub fn simulate_network_with_mode<R: Rng>(
                         render_config_into(cfg, buf);
                     });
                 }
-            });
+            }
         }
     }
 
@@ -333,7 +282,7 @@ pub fn simulate_network_with_mode<R: Rng>(
                 touched_mbox |= role.is_middlebox();
                 if logged {
                     let cfg = &gen.configs[&dev];
-                    phases::time(&phases::GEN_RENDER, || match &mut live {
+                    match &mut live {
                         Some(state) => {
                             state.record(&mut builder, cfg, dev, Timestamp(t), login.clone());
                         }
@@ -342,7 +291,7 @@ pub fn simulate_network_with_mode<R: Rng>(
                                 render_config_into(cfg, buf);
                             });
                         }
-                    });
+                    }
                 }
             }
             if event_types.contains(&ChangeType::Acl) {
@@ -429,7 +378,7 @@ pub fn simulate_network_with_mode<R: Rng>(
     // device's history into time order, drops time-adjacent duplicates (an
     // edit can exactly revert earlier state, and an NMS like RANCID only
     // commits when the text actually changed) and delta-encodes.
-    out.archive = phases::time(&phases::GEN_ENCODE, || builder.finish());
+    out.archive = builder.finish();
     out
 }
 
@@ -787,7 +736,7 @@ mod tests {
         }
     }
 
-    fn run_one_with(mode: GenMode) -> (GeneratedNetwork, NetworkSimOutput) {
+    fn run_one_with(full_render: bool) -> (GeneratedNetwork, NetworkSimOutput) {
         let cfg = org();
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let profiles = sample_profiles(&cfg, &mut rng);
@@ -801,13 +750,13 @@ mod tests {
         let mut gen = generate_network(&profile, &mut next_id, &mut rng);
         let period = StudyPeriod::new(mpa_model::Month::new(2013, 8).unwrap(), cfg.n_months);
         let mut ticket_seq = 0;
-        let out = simulate_network_with_mode(
+        let out = simulate_network(
             &mut gen,
             &profile,
             &period,
             &HealthModel::default(),
             SimConfig { missing_month_rate: cfg.missing_month_rate },
-            mode,
+            full_render,
             &mut ticket_seq,
             &mut rng,
         );
@@ -815,7 +764,7 @@ mod tests {
     }
 
     fn run_one() -> (GeneratedNetwork, NetworkSimOutput) {
-        run_one_with(GenMode::default())
+        run_one_with(false)
     }
 
     #[test]
@@ -891,6 +840,7 @@ mod tests {
                 &period,
                 &HealthModel::default(),
                 SimConfig { missing_month_rate: 0.15 },
+                false,
                 &mut ticket_seq,
                 &mut rng,
             );
@@ -941,29 +891,18 @@ mod tests {
     }
 
     #[test]
-    fn gen_modes_produce_byte_identical_archives() {
-        let (_, delta) = run_one_with(GenMode::Delta);
-        let (_, full) = run_one_with(GenMode::Full);
-        assert_eq!(delta.archive, full.archive, "structural divergence between gen modes");
+    fn delta_and_full_render_produce_byte_identical_archives() {
+        let (_, delta) = run_one_with(false);
+        let (_, full) = run_one_with(true);
+        assert_eq!(delta.archive, full.archive, "structural divergence between engines");
         assert_eq!(
             serde_json::to_string(&delta.archive).unwrap(),
             serde_json::to_string(&full.archive).unwrap(),
-            "serde bytes diverged between gen modes"
+            "serde bytes diverged between engines"
         );
         // Same RNG consumption: the rest of the output matches too.
         assert_eq!(format!("{:?}", delta.truth), format!("{:?}", full.truth));
         assert_eq!(delta.tickets, full.tickets);
-    }
-
-    #[test]
-    fn gen_mode_parse_round_trips() {
-        assert_eq!(GenMode::parse("delta"), Some(GenMode::Delta));
-        assert_eq!(GenMode::parse("full"), Some(GenMode::Full));
-        assert_eq!(GenMode::parse("chunky"), None);
-        assert_eq!(GenMode::default(), GenMode::Delta);
-        for m in [GenMode::Delta, GenMode::Full] {
-            assert_eq!(GenMode::parse(m.label()), Some(m));
-        }
     }
 
     #[test]

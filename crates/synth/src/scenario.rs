@@ -8,9 +8,8 @@ use crate::dataset::Dataset;
 use crate::degrade::{degrade_network, DegradeSpec, DegradeStats};
 use crate::health::HealthModel;
 use crate::netgen::generate_network;
-use crate::ops::{simulate_network_with_mode, GenMode, SimConfig};
+use crate::ops::{simulate_network, SimConfig};
 use crate::profile::{sample_profiles, OrgConfig};
-use mpa_obs::phases;
 use mpa_config::{SnapshotArchive, UserDirectory};
 use mpa_model::{Inventory, InventoryRecord, Month, StudyPeriod, TicketId};
 use rand::rngs::StdRng;
@@ -136,16 +135,18 @@ impl Scenario {
     /// at any thread count. Only ticket ids are allocated org-wide; they
     /// are assigned during the (deterministic, network-ordered) merge.
     pub fn generate(&self) -> Dataset {
-        self.generate_with_mode(GenMode::default())
+        self.generate_impl(false)
     }
 
-    /// [`Scenario::generate`] with an explicit snapshot-rendering mode.
-    ///
-    /// The mode is deliberately a call parameter, not a `Scenario` field:
-    /// it must never leak into scenario serialization or seed derivation —
-    /// `delta` and `full` produce byte-identical datasets by contract
-    /// (`tests/gen_mode_equivalence.rs` in `mpa-core` enforces it).
-    pub fn generate_with_mode(&self, mode: GenMode) -> Dataset {
+    /// The full-render oracle for [`Scenario::generate`]: every snapshot
+    /// renders its whole device document instead of splicing dirty chunks.
+    /// The datasets are byte-identical by contract, which the equivalence
+    /// tests (`tests/gen_mode_equivalence.rs`) check; nothing else calls it.
+    pub fn generate_full(&self) -> Dataset {
+        self.generate_impl(true)
+    }
+
+    fn generate_impl(&self, full_render: bool) -> Dataset {
         let period = StudyPeriod::new(Month::new(2013, 8).expect("valid"), self.org.n_months);
         let mut rng = StdRng::seed_from_u64(self.org.seed);
         let profiles = sample_profiles(&self.org, &mut rng);
@@ -172,59 +173,49 @@ impl Scenario {
             })
             .collect();
 
-        // The render/encode phase accumulators tick inside the workers;
-        // their per-run deltas are annotated into the span tree under
-        // "simulate" (they are summed worker time, not wall sub-intervals).
-        let render0 = phases::GEN_RENDER.get_ns();
-        let encode0 = phases::GEN_ENCODE.get_ns();
         let per_network = mpa_obs::span("simulate", || {
-            let per_network = phases::time(&phases::GEN_SIMULATE, || {
-                mpa_exec::par_map(&work, |_, &(profile, base)| {
-                    let seed = mpa_exec::stream_seed(self.org.seed, u64::from(profile.id.0));
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    let mut next_device_id = base;
-                    let mut gen = generate_network(profile, &mut next_device_id, &mut rng);
-                    let mut local_ticket_seq = 0u32;
-                    let mut out = simulate_network_with_mode(
-                        &mut gen,
-                        profile,
-                        &period,
-                        &self.health,
-                        sim,
-                        mode,
-                        &mut local_ticket_seq,
-                        &mut rng,
-                    );
-                    // Degrade on the worker, continuing the same per-network
-                    // RNG stream — deterministic at any thread count.
-                    // Inactive specs draw nothing, keeping pristine runs
-                    // byte-identical. Degradation operates on the finished
-                    // per-network archive, so it is gen-mode-agnostic.
-                    let degrade_stats = if self.degrade.is_active() {
-                        degrade_network(&mut out, &self.degrade, &period, &mut rng)
-                    } else {
-                        DegradeStats::default()
-                    };
-                    // Inventory rows (site strings are pure functions of the
-                    // ids) are built here, on the workers, so the merge pass
-                    // below is pure bookkeeping; dropping `gen.configs` on
-                    // the worker also releases each network's semantic state
-                    // as soon as it is done.
-                    let records: Vec<InventoryRecord> = gen
-                        .network
-                        .devices
-                        .iter()
-                        .map(|d| {
-                            let site = format!("dc{}/r{}", d.network.0 % 8, d.id.0 % 40);
-                            InventoryRecord::from_device(d, site)
-                        })
-                        .collect();
-                    (gen.network, records, out, degrade_stats)
-                })
-            });
-            mpa_obs::annotate_span("render", phases::GEN_RENDER.get_ns().saturating_sub(render0));
-            mpa_obs::annotate_span("encode", phases::GEN_ENCODE.get_ns().saturating_sub(encode0));
-            per_network
+            mpa_exec::par_map(&work, |_, &(profile, base)| {
+                let seed = mpa_exec::stream_seed(self.org.seed, u64::from(profile.id.0));
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut next_device_id = base;
+                let mut gen = generate_network(profile, &mut next_device_id, &mut rng);
+                let mut local_ticket_seq = 0u32;
+                let mut out = simulate_network(
+                    &mut gen,
+                    profile,
+                    &period,
+                    &self.health,
+                    sim,
+                    full_render,
+                    &mut local_ticket_seq,
+                    &mut rng,
+                );
+                // Degrade on the worker, continuing the same per-network
+                // RNG stream — deterministic at any thread count.
+                // Inactive specs draw nothing, keeping pristine runs
+                // byte-identical. Degradation operates on the finished
+                // per-network archive, so it is engine-agnostic.
+                let degrade_stats = if self.degrade.is_active() {
+                    degrade_network(&mut out, &self.degrade, &period, &mut rng)
+                } else {
+                    DegradeStats::default()
+                };
+                // Inventory rows (site strings are pure functions of the
+                // ids) are built here, on the workers, so the merge pass
+                // below is pure bookkeeping; dropping `gen.configs` on
+                // the worker also releases each network's semantic state
+                // as soon as it is done.
+                let records: Vec<InventoryRecord> = gen
+                    .network
+                    .devices
+                    .iter()
+                    .map(|d| {
+                        let site = format!("dc{}/r{}", d.network.0 % 8, d.id.0 % 40);
+                        InventoryRecord::from_device(d, site)
+                    })
+                    .collect();
+                (gen.network, records, out, degrade_stats)
+            })
         });
 
         let mut ticket_seq = 0u32;
@@ -260,9 +251,7 @@ impl Scenario {
         // allocation: shard tables are concatenated once (sequential), then
         // every shard's ids are shifted by a constant offset on the worker
         // threads — no per-id remap table (see DESIGN.md §15).
-        let archive = mpa_obs::span("merge", || {
-            phases::time(&phases::GEN_MERGE, || SnapshotArchive::merge_all(archives))
-        });
+        let archive = mpa_obs::span("merge", || SnapshotArchive::merge_all(archives));
 
         let directory =
             UserDirectory::new(["svc-netauto".to_string(), "svc-deploy".to_string()]);
@@ -324,13 +313,13 @@ mod tests {
     }
 
     #[test]
-    fn gen_modes_are_byte_identical_end_to_end() {
-        let delta = Scenario::tiny().generate_with_mode(GenMode::Delta);
-        let full = Scenario::tiny().generate_with_mode(GenMode::Full);
+    fn full_render_oracle_is_byte_identical_end_to_end() {
+        let delta = Scenario::tiny().generate();
+        let full = Scenario::tiny().generate_full();
         assert_eq!(
             serde_json::to_string(&delta.archive).unwrap(),
             serde_json::to_string(&full.archive).unwrap(),
-            "merged archives diverged between gen modes"
+            "merged archives diverged between engines"
         );
         assert_eq!(delta.summary(), full.summary());
         assert_eq!(delta.tickets, full.tickets);

@@ -79,9 +79,9 @@ pub mod prelude {
         analyze_treatment, cmi_ranking, compare_survey, mi_ranking, CausalAnalysis, CausalConfig,
         TextTable,
     };
-    pub use mpa_metrics::{infer, infer_case_table, infer_with_mode, CaseTable, InferMode, Metric};
+    pub use mpa_metrics::{infer, infer_case_table, CaseTable, Metric};
     pub use mpa_model::{Network, NetworkId, Ticket};
-    pub use mpa_synth::{Dataset, GenMode, Scenario};
+    pub use mpa_synth::{Dataset, Scenario};
 }
 
 #[cfg(test)]

@@ -18,8 +18,8 @@ fn delta_and_full_generation_agree_at_1_2_and_8_threads() {
     let mut reference: Option<String> = None;
     for threads in [1usize, 2, 8] {
         exec::set_threads(threads);
-        let full = scenario.generate_with_mode(GenMode::Full);
-        let delta = scenario.generate_with_mode(GenMode::Delta);
+        let full = scenario.generate_full();
+        let delta = scenario.generate();
         let full_archive = serde_json::to_string(&full.archive).expect("serializes");
         let delta_archive = serde_json::to_string(&delta.archive).expect("serializes");
         assert_eq!(
@@ -68,8 +68,8 @@ proptest! {
             ambiguous_login: knobs.5,
         };
         let scenario = Scenario::tiny().with_seed(seed).with_degrade(spec);
-        let full = scenario.generate_with_mode(GenMode::Full);
-        let delta = scenario.generate_with_mode(GenMode::Delta);
+        let full = scenario.generate_full();
+        let delta = scenario.generate();
         prop_assert_eq!(
             serde_json::to_string(&full.archive).expect("serializes"),
             serde_json::to_string(&delta.archive).expect("serializes")

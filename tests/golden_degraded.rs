@@ -20,7 +20,7 @@
 //! thread sweep must not race a concurrently running test in this binary.
 
 use mpa::analytics::exec;
-use mpa::metrics::DELTA_DEFAULT_MINUTES;
+use mpa::metrics::{infer_full, DELTA_DEFAULT_MINUTES};
 use mpa::prelude::*;
 use mpa::synth::CoverageReport;
 use std::path::PathBuf;
@@ -67,8 +67,8 @@ fn degraded_demo_outputs_match_goldens_at_1_2_and_8_threads() {
         assert!(st.snapshots_dropped() > 0, "heavy degradation dropped nothing");
 
         // Both engines must survive the messy corpus and agree byte-for-byte.
-        let full = infer_with_mode(&dataset, DELTA_DEFAULT_MINUTES, InferMode::Full);
-        let delta = infer_with_mode(&dataset, DELTA_DEFAULT_MINUTES, InferMode::Delta);
+        let full = infer_full(&dataset, DELTA_DEFAULT_MINUTES);
+        let delta = infer(&dataset, DELTA_DEFAULT_MINUTES);
         assert_eq!(
             full.device_changes, delta.device_changes,
             "degraded change records diverged at {threads} threads"

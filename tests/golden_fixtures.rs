@@ -69,15 +69,12 @@ fn both_infer_modes_reproduce_the_golden_case_table() {
     let committed = std::fs::read_to_string(golden_dir().join("case_table_small.json"))
         .expect("committed case-table fixture");
     let dataset = Scenario::small().generate();
-    for mode in [InferMode::Full, InferMode::Delta] {
-        let table =
-            infer_with_mode(&dataset, mpa::metrics::DELTA_DEFAULT_MINUTES, mode).table;
-        let rendered = serde_json::to_string(&table).expect("serializes");
-        assert_eq!(
-            committed,
-            rendered,
-            "{} mode diverged from the golden case table",
-            mode.label()
-        );
+    let delta = mpa::metrics::DELTA_DEFAULT_MINUTES;
+    for (engine, inference) in [
+        ("full", mpa::metrics::infer_full(&dataset, delta)),
+        ("delta", infer(&dataset, delta)),
+    ] {
+        let rendered = serde_json::to_string(&inference.table).expect("serializes");
+        assert_eq!(committed, rendered, "{engine} engine diverged from the golden case table");
     }
 }

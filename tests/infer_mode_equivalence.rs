@@ -5,7 +5,7 @@
 //! concurrently.)
 
 use mpa::analytics::exec;
-use mpa::metrics::DELTA_DEFAULT_MINUTES;
+use mpa::metrics::{infer_full, DELTA_DEFAULT_MINUTES};
 use mpa::prelude::*;
 use mpa::synth::DegradeSpec;
 use proptest::prelude::*;
@@ -17,8 +17,8 @@ fn delta_and_full_inference_agree_at_1_2_and_8_threads() {
     let mut reference: Option<String> = None;
     for threads in [1usize, 2, 8] {
         exec::set_threads(threads);
-        let full = infer_with_mode(&dataset, DELTA_DEFAULT_MINUTES, InferMode::Full);
-        let delta = infer_with_mode(&dataset, DELTA_DEFAULT_MINUTES, InferMode::Delta);
+        let full = infer_full(&dataset, DELTA_DEFAULT_MINUTES);
+        let delta = infer(&dataset, DELTA_DEFAULT_MINUTES);
         assert_eq!(
             full.device_changes, delta.device_changes,
             "change records diverged at {threads} threads"
@@ -74,8 +74,8 @@ proptest! {
             dataset.tickets.len() as u64
         );
 
-        let full = infer_with_mode(&dataset, DELTA_DEFAULT_MINUTES, InferMode::Full);
-        let delta = infer_with_mode(&dataset, DELTA_DEFAULT_MINUTES, InferMode::Delta);
+        let full = infer_full(&dataset, DELTA_DEFAULT_MINUTES);
+        let delta = infer(&dataset, DELTA_DEFAULT_MINUTES);
         prop_assert_eq!(&full.device_changes, &delta.device_changes);
         let full_json = serde_json::to_string(&full.table).expect("serializes");
         let delta_json = serde_json::to_string(&delta.table).expect("serializes");
