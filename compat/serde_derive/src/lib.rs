@@ -3,8 +3,11 @@
 //! Implements `#[derive(Serialize)]` / `#[derive(Deserialize)]` for the
 //! data shapes this workspace actually uses, without depending on
 //! `syn`/`quote` (unavailable offline). The derives target the vendored
-//! `serde` shim's value-tree model: `Serialize::to_value` /
-//! `Deserialize::from_value`.
+//! `serde` shim's streaming model: `Serialize::serialize` writes JSON text
+//! into a `serde::Writer` (each run of keys and punctuation as one literal)
+//! and `Deserialize::deserialize` reads fields straight off a
+//! `serde::Reader` (in any order, unknown keys skipped, a missing
+//! non-`skip` field an error).
 //!
 //! Supported shapes:
 //! - structs with named fields (`#[serde(skip)]` per field);
@@ -41,16 +44,20 @@ struct NamedField {
     skip: bool,
 }
 
-enum Variant {
-    Unit(String),
-    Tuple(String, usize),
-    Struct(String, Vec<NamedField>),
-}
-
-enum Body {
+/// The fields of a struct body or an enum variant.
+enum Shape {
     Named(Vec<NamedField>),
     Tuple(usize),
     Unit,
+}
+
+struct Variant {
+    name: String,
+    shape: Shape,
+}
+
+enum Body {
+    Struct(Shape),
     Enum(Vec<Variant>),
 }
 
@@ -157,9 +164,6 @@ fn parse_named_fields(group_stream: TokenStream) -> Vec<NamedField> {
 /// Count top-level comma-separated entries of a tuple-struct/-variant body.
 fn count_tuple_fields(group_stream: TokenStream) -> usize {
     let trees: Vec<TokenTree> = group_stream.into_iter().collect();
-    if trees.is_empty() {
-        return 0;
-    }
     let mut n = 0;
     let mut i = 0;
     while i < trees.len() {
@@ -184,24 +188,26 @@ fn parse_variants(group_stream: TokenStream) -> Vec<Variant> {
             break;
         }
         let name = expect_ident(&trees, &mut i, "variant name");
-        let variant = match trees.get(i) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                let n = count_tuple_fields(g.stream());
-                i += 1;
-                Variant::Tuple(name, n)
-            }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                let fields = parse_named_fields(g.stream());
-                i += 1;
-                Variant::Struct(name, fields)
-            }
-            _ => Variant::Unit(name),
-        };
-        variants.push(variant);
+        let shape = parse_shape(trees.get(i));
+        i += usize::from(!matches!(shape, Shape::Unit));
+        variants.push(Variant { name, shape });
         // Skip an optional discriminant and the separating comma.
         skip_past_comma(&trees, &mut i);
     }
     variants
+}
+
+/// The fields in a `{..}` or `(..)` group; anything else is a unit shape.
+fn parse_shape(tree: Option<&TokenTree>) -> Shape {
+    match tree {
+        Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
+            Shape::Named(parse_named_fields(g.stream()))
+        }
+        Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
+            Shape::Tuple(count_tuple_fields(g.stream()))
+        }
+        _ => Shape::Unit,
+    }
 }
 
 fn parse_item(input: TokenStream) -> Item {
@@ -216,16 +222,7 @@ fn parse_item(input: TokenStream) -> Item {
         panic!("derive: generic type {name} is not supported by the vendored serde_derive");
     }
     let body = match kw.as_str() {
-        "struct" => match trees.get(i) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                Body::Named(parse_named_fields(g.stream()))
-            }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                Body::Tuple(count_tuple_fields(g.stream()))
-            }
-            Some(TokenTree::Punct(p)) if p.as_char() == ';' => Body::Unit,
-            other => panic!("derive: unsupported struct body for {name}: {other:?}"),
-        },
+        "struct" => Body::Struct(parse_shape(trees.get(i))),
         "enum" => match trees.get(i) {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
                 Body::Enum(parse_variants(g.stream()))
@@ -241,78 +238,58 @@ fn parse_item(input: TokenStream) -> Item {
 // Codegen
 // ---------------------------------------------------------------------------
 
+/// Statements writing a struct body or variant payload: named fields as an
+/// object (declaration order, `skip` fields left out), one positional field
+/// as its bare value, several as an array, none as `null`. `access` names
+/// a field's value by its name or position.
+fn ser_shape(shape: &Shape, access: impl Fn(&str) -> String) -> String {
+    let val = |f: &str| format!("::serde::Serialize::serialize({}, w);\n", access(f));
+    match shape {
+        Shape::Unit => "w.raw(\"null\");\n".to_string(),
+        Shape::Tuple(1) => val("0"),
+        Shape::Tuple(n) => {
+            let items: Vec<String> = (0..*n).map(|k| val(&k.to_string())).collect();
+            format!("w.raw(\"[\");\n{}w.raw(\"]\");\n", items.join("w.raw(\",\");\n"))
+        }
+        Shape::Named(fields) => {
+            // Each key is written together with the punctuation before it.
+            let (mut code, mut open) = (String::new(), "{");
+            for f in fields.iter().filter(|f| !f.skip) {
+                let key = format!("{open}{:?}:", f.name);
+                code.push_str(&format!("w.raw({key:?});\n{}", val(&f.name)));
+                open = ",";
+            }
+            code + &format!("w.raw({:?});\n", if open == "{" { "{}" } else { "}" })
+        }
+    }
+}
+
 fn gen_serialize(item: &Item) -> String {
     let name = &item.name;
     let body = match &item.body {
-        Body::Named(fields) => {
-            if item.transparent {
-                let only: Vec<&NamedField> = fields.iter().filter(|f| !f.skip).collect();
-                assert!(only.len() == 1, "serde(transparent) needs exactly one field");
-                format!("::serde::Serialize::to_value(&self.{})", only[0].name)
-            } else {
-                let mut s = String::from(
-                    "let mut fields: Vec<(String, ::serde::Value)> = Vec::new();\n",
-                );
-                for f in fields.iter().filter(|f| !f.skip) {
-                    s.push_str(&format!(
-                        "fields.push((String::from({:?}), ::serde::Serialize::to_value(&self.{})));\n",
-                        f.name, f.name
-                    ));
-                }
-                s.push_str("::serde::Value::Object(fields)");
-                s
-            }
+        Body::Struct(Shape::Named(fields)) if item.transparent => {
+            let only: Vec<&NamedField> = fields.iter().filter(|f| !f.skip).collect();
+            assert!(only.len() == 1, "serde(transparent) needs exactly one field");
+            format!("::serde::Serialize::serialize(&self.{}, w);", only[0].name)
         }
-        Body::Tuple(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
-        Body::Tuple(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|k| format!("::serde::Serialize::to_value(&self.{k})"))
-                .collect();
-            format!("::serde::Value::Array(vec![{}])", items.join(", "))
-        }
-        Body::Unit => "::serde::Value::Null".to_string(),
+        Body::Struct(shape) => ser_shape(shape, |f| format!("&self.{f}")),
         Body::Enum(variants) => {
+            // Externally tagged: a unit variant as its name, any other as
+            // `{"Name":payload}`; the payload's fields are bound as `f_*`.
             let mut arms = String::new();
-            for v in variants {
-                match v {
-                    Variant::Unit(vn) => arms.push_str(&format!(
-                        "{name}::{vn} => ::serde::Value::String(String::from({vn:?})),\n"
-                    )),
-                    Variant::Tuple(vn, 1) => arms.push_str(&format!(
-                        "{name}::{vn}(f0) => ::serde::variant({vn:?}, ::serde::Serialize::to_value(f0)),\n"
-                    )),
-                    Variant::Tuple(vn, n) => {
-                        let binds: Vec<String> = (0..*n).map(|k| format!("f{k}")).collect();
-                        let vals: Vec<String> = binds
-                            .iter()
-                            .map(|b| format!("::serde::Serialize::to_value({b})"))
-                            .collect();
-                        arms.push_str(&format!(
-                            "{name}::{vn}({}) => ::serde::variant({vn:?}, ::serde::Value::Array(vec![{}])),\n",
-                            binds.join(", "),
-                            vals.join(", ")
-                        ));
-                    }
-                    Variant::Struct(vn, fields) => {
-                        let binds: Vec<String> =
-                            fields.iter().map(|f| f.name.clone()).collect();
-                        let mut pushes = String::new();
-                        for f in fields.iter().filter(|f| !f.skip) {
-                            pushes.push_str(&format!(
-                                "fields.push((String::from({:?}), ::serde::Serialize::to_value({})));\n",
-                                f.name, f.name
-                            ));
-                        }
-                        arms.push_str(&format!(
-                            "{name}::{vn} {{ {} }} => {{\n\
-                             let mut fields: Vec<(String, ::serde::Value)> = Vec::new();\n\
-                             {pushes}\
-                             ::serde::variant({vn:?}, ::serde::Value::Object(fields))\n\
-                             }}\n",
-                            binds.join(", ")
-                        ));
-                    }
-                }
+            for Variant { name: vn, shape } in variants {
+                let (pat, code) = match shape {
+                    Shape::Unit => (String::new(), format!("w.raw({:?});\n", format!("{vn:?}"))),
+                    _ => (
+                        bindings(shape),
+                        format!(
+                            "w.raw({:?});\n{}w.raw(\"}}\");\n",
+                            format!("{{{vn:?}:"),
+                            ser_shape(shape, |f| format!("f_{f}"))
+                        ),
+                    ),
+                };
+                arms.push_str(&format!("{name}::{vn}{pat} => {{\n{code}}}\n"));
             }
             format!("match self {{\n{arms}}}")
         }
@@ -320,132 +297,134 @@ fn gen_serialize(item: &Item) -> String {
     format!(
         "#[automatically_derived]\n\
          impl ::serde::Serialize for {name} {{\n\
-         fn to_value(&self) -> ::serde::Value {{\n{body}\n}}\n\
+         fn serialize(&self, w: &mut ::serde::Writer) {{\n{body}\n}}\n\
          }}\n"
     )
+}
+
+/// The pattern binding a variant's written fields as `f_<name or index>`.
+fn bindings(shape: &Shape) -> String {
+    match shape {
+        Shape::Named(fields) => {
+            let binds: String = fields
+                .iter()
+                .filter(|f| !f.skip)
+                .map(|f| format!("{0}: f_{0}, ", f.name))
+                .collect();
+            format!(" {{ {binds}.. }}")
+        }
+        Shape::Tuple(n) => {
+            let binds: Vec<String> = (0..*n).map(|k| format!("f_{k}")).collect();
+            format!("({})", binds.join(", "))
+        }
+        Shape::Unit => String::new(),
+    }
+}
+
+/// An expression reading a struct body or variant payload into `ctor`.
+/// Named fields may come in any order (the first occurrence wins), unknown
+/// keys are skipped, a missing non-`skip` field is an error and `skip`
+/// fields take their `Default`; a unit shape accepts any value.
+fn de_shape(ty: &str, ctor: &str, shape: &Shape) -> String {
+    let read = "::serde::Deserialize::deserialize(r)?";
+    match shape {
+        Shape::Unit => format!("{{\nr.skip()?;\n{ctor}\n}}"),
+        Shape::Tuple(1) => format!("{ctor}({read})"),
+        Shape::Tuple(n) => {
+            let lets: Vec<String> = (0..*n).map(|k| format!("let f{k} = {read};\n")).collect();
+            let args: Vec<String> = (0..*n).map(|k| format!("f{k}")).collect();
+            format!(
+                "r.tuple(|r| {{\n{}::std::result::Result::Ok({ctor}({}))\n}})?",
+                lets.join("r.comma()?;\n"),
+                args.join(", ")
+            )
+        }
+        Shape::Named(fields) => {
+            let (mut slots, mut arms, mut inits) = (String::new(), String::new(), String::new());
+            for NamedField { name: n, skip } in fields {
+                if *skip {
+                    inits.push_str(&format!("{n}: ::std::default::Default::default(),\n"));
+                    continue;
+                }
+                slots.push_str(&format!("let mut f_{n} = ::std::option::Option::None;\n"));
+                arms.push_str(&format!(
+                    "{n:?} if f_{n}.is_none() => f_{n} = ::std::option::Option::Some(\
+                     ::serde::Deserialize::deserialize(r).map_err(|e| e.within({ty:?}, {n:?}))?),\n"
+                ));
+                inits.push_str(&format!("{n}: r.required(f_{n}, {ty:?}, {n:?})?,\n"));
+            }
+            format!(
+                "{{\n{slots}r.object(|r, key| {{\nmatch key {{\n{arms}_ => r.skip()?,\n}}\n\
+                 ::std::result::Result::Ok(())\n}})?;\n{ctor} {{\n{inits}}}\n}}"
+            )
+        }
+    }
 }
 
 fn gen_deserialize(item: &Item) -> String {
     let name = &item.name;
     let body = match &item.body {
-        Body::Named(fields) => {
-            if item.transparent {
-                let mut inits = String::new();
-                for f in fields {
-                    if f.skip {
-                        inits.push_str(&format!(
-                            "{}: ::std::default::Default::default(),\n",
-                            f.name
-                        ));
-                    } else {
-                        inits.push_str(&format!(
-                            "{}: ::serde::Deserialize::from_value(v)?,\n",
-                            f.name
-                        ));
-                    }
-                }
-                format!("::std::result::Result::Ok({name} {{\n{inits}}})")
-            } else {
-                let mut inits = String::new();
-                for f in fields {
-                    if f.skip {
-                        inits.push_str(&format!(
-                            "{}: ::std::default::Default::default(),\n",
-                            f.name
-                        ));
-                    } else {
-                        inits.push_str(&format!(
-                            "{}: ::serde::field(obj, {:?}, {name:?})?,\n",
-                            f.name, f.name
-                        ));
-                    }
-                }
-                format!(
-                    "let obj = ::serde::expect_object(v, {name:?})?;\n\
-                     ::std::result::Result::Ok({name} {{\n{inits}}})"
-                )
-            }
-        }
-        Body::Tuple(1) => {
-            format!("::std::result::Result::Ok({name}(::serde::Deserialize::from_value(v)?))")
-        }
-        Body::Tuple(n) => {
-            let gets: Vec<String> = (0..*n)
-                .map(|k| format!("::serde::Deserialize::from_value(&items[{k}])?"))
+        Body::Struct(Shape::Named(fields)) if item.transparent => {
+            let inits: String = fields
+                .iter()
+                .map(|f| match f.skip {
+                    true => format!("{}: ::std::default::Default::default(),\n", f.name),
+                    false => format!("{}: ::serde::Deserialize::deserialize(r)?,\n", f.name),
+                })
                 .collect();
-            format!(
-                "let items = ::serde::expect_array(v, {n}, {name:?})?;\n\
-                 ::std::result::Result::Ok({name}({}))",
-                gets.join(", ")
-            )
+            format!("::std::result::Result::Ok({name} {{\n{inits}}})")
         }
-        Body::Unit => format!("::std::result::Result::Ok({name})"),
-        Body::Enum(variants) => {
-            let mut unit_arms = String::new();
-            let mut tagged_arms = String::new();
-            for v in variants {
-                match v {
-                    Variant::Unit(vn) => unit_arms.push_str(&format!(
-                        "{vn:?} => ::std::result::Result::Ok({name}::{vn}),\n"
-                    )),
-                    Variant::Tuple(vn, 1) => tagged_arms.push_str(&format!(
-                        "{vn:?} => ::std::result::Result::Ok({name}::{vn}(::serde::Deserialize::from_value(inner)?)),\n"
-                    )),
-                    Variant::Tuple(vn, n) => {
-                        let gets: Vec<String> = (0..*n)
-                            .map(|k| format!("::serde::Deserialize::from_value(&items[{k}])?"))
-                            .collect();
-                        tagged_arms.push_str(&format!(
-                            "{vn:?} => {{\n\
-                             let items = ::serde::expect_array(inner, {n}, {name:?})?;\n\
-                             ::std::result::Result::Ok({name}::{vn}({}))\n\
-                             }}\n",
-                            gets.join(", ")
-                        ));
-                    }
-                    Variant::Struct(vn, fields) => {
-                        let mut inits = String::new();
-                        for f in fields {
-                            if f.skip {
-                                inits.push_str(&format!(
-                                    "{}: ::std::default::Default::default(),\n",
-                                    f.name
-                                ));
-                            } else {
-                                inits.push_str(&format!(
-                                    "{}: ::serde::field(obj, {:?}, {name:?})?,\n",
-                                    f.name, f.name
-                                ));
-                            }
-                        }
-                        tagged_arms.push_str(&format!(
-                            "{vn:?} => {{\n\
-                             let obj = ::serde::expect_object(inner, {name:?})?;\n\
-                             ::std::result::Result::Ok({name}::{vn} {{\n{inits}}})\n\
-                             }}\n",
-                        ));
-                    }
-                }
-            }
-            format!(
-                "if let ::serde::Value::String(s) = v {{\n\
-                 return match s.as_str() {{\n\
-                 {unit_arms}\
-                 other => ::std::result::Result::Err(::serde::Error::unknown_variant(other, {name:?})),\n\
-                 }};\n\
-                 }}\n\
-                 let (tag, inner) = ::serde::variant_parts(v, {name:?})?;\n\
-                 match tag {{\n\
-                 {tagged_arms}\
-                 other => ::std::result::Result::Err(::serde::Error::unknown_variant(other, {name:?})),\n\
-                 }}"
-            )
-        }
+        Body::Struct(s) => format!("::std::result::Result::Ok({})", de_shape(name, name, s)),
+        Body::Enum(variants) => de_enum(name, variants),
     };
     format!(
         "#[automatically_derived]\n\
          impl ::serde::Deserialize for {name} {{\n\
-         fn from_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\n{body}\n}}\n\
+         fn deserialize(r: &mut ::serde::Reader<'_>) -> ::std::result::Result<Self, ::serde::Error> {{\n{body}\n}}\n\
          }}\n"
+    )
+}
+
+/// Externally tagged: a unit variant is its name as a string, any other
+/// variant a single-key object `{"Name": payload}`.
+fn de_enum(name: &str, variants: &[Variant]) -> String {
+    let (mut units, mut tagged) = (String::new(), String::new());
+    for Variant { name: vn, shape } in variants {
+        let ctor = format!("{name}::{vn}");
+        let (arms, value) = match shape {
+            Shape::Unit => (&mut units, ctor),
+            _ => (&mut tagged, de_shape(name, &ctor, shape)),
+        };
+        arms.push_str(&format!("{vn:?} => ::std::result::Result::Ok({value}),\n"));
+    }
+    let or_unknown = |arms: &str| {
+        format!(
+            "{arms}other => ::std::result::Result::Err(\
+             r.error(::std::format!(\"{name}: unknown variant {{other:?}}\"))),\n"
+        )
+    };
+    let mut body = String::new();
+    if !units.is_empty() {
+        body.push_str(&format!(
+            "if r.peek() == ::std::option::Option::Some(b'\"') {{\n\
+             let tag = r.str()?;\n\
+             return match &*tag {{\n{}}};\n\
+             }}\n",
+            or_unknown(&units)
+        ));
+    }
+    if tagged.is_empty() {
+        return body + "::std::result::Result::Err(r.expected(\"a variant name\"))";
+    }
+    let single = format!("r.error(\"{name}: expected a single-key variant object\")");
+    body + &format!(
+        "let mut out = ::std::option::Option::None;\n\
+         r.object(|r, tag| {{\n\
+         if out.is_some() {{\nreturn ::std::result::Result::Err({single});\n}}\n\
+         out = ::std::option::Option::Some(match tag {{\n{}}}?);\n\
+         ::std::result::Result::Ok(())\n\
+         }})?;\n\
+         out.ok_or_else(|| {single})",
+        or_unknown(&tagged)
     )
 }

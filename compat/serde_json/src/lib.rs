@@ -1,12 +1,13 @@
 //! Offline stand-in for [`serde_json`](https://docs.rs/serde_json/1.0).
 //!
-//! Provides [`to_string`] and [`from_str`] over the vendored `serde`
-//! crate's [`Value`] tree. Floats are rendered with Rust's shortest
-//! roundtrip formatting, so `parse(render(x)) == x` for every finite `f64`
-//! (the upstream `float_roundtrip` feature is therefore always on).
+//! [`to_string`] and [`from_str`] over the vendored `serde` crate, whose
+//! traits write and read JSON text directly. Floats are rendered with Rust's
+//! shortest roundtrip formatting, so `parse(render(x)) == x` for every
+//! finite `f64` (the upstream `float_roundtrip` feature is therefore always
+//! on).
 
 pub use serde::Error;
-use serde::{Deserialize, Number, Serialize, Value};
+use serde::{Deserialize, Reader, Serialize, Writer};
 
 /// Serialize a value to compact JSON text.
 ///
@@ -14,323 +15,27 @@ use serde::{Deserialize, Number, Serialize, Value};
 /// Never fails for the value model in this workspace; the `Result` exists
 /// for call-site compatibility with upstream serde_json.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out);
-    Ok(out)
+    let mut w = Writer::default();
+    value.serialize(&mut w);
+    Ok(w.into_string())
 }
 
 /// Deserialize a value from JSON text.
 ///
 /// # Errors
-/// Fails on malformed JSON or when the parsed tree does not match `T`.
+/// Fails on malformed JSON, on JSON that does not match `T`, and on
+/// trailing characters; the error names the byte offset where it stopped.
 pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-    p.skip_ws();
-    let v = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(Error::custom(format!("trailing characters at byte {}", p.pos)));
-    }
-    T::from_value(&v)
-}
-
-// ---------------------------------------------------------------------------
-// Emitter
-// ---------------------------------------------------------------------------
-
-fn write_value(v: &Value, out: &mut String) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Num(Number::I64(i)) => out.push_str(&i.to_string()),
-        Value::Num(Number::U64(u)) => out.push_str(&u.to_string()),
-        Value::Num(Number::F64(f)) => write_f64(*f, out),
-        Value::String(s) => write_string(s, out),
-        Value::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_value(item, out);
-            }
-            out.push(']');
-        }
-        Value::Object(pairs) => {
-            out.push('{');
-            for (i, (k, item)) in pairs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_string(k, out);
-                out.push(':');
-                write_value(item, out);
-            }
-            out.push('}');
-        }
-    }
-}
-
-fn write_f64(f: f64, out: &mut String) {
-    debug_assert!(f.is_finite(), "serde shim maps non-finite floats to null");
-    let s = format!("{f}");
-    out.push_str(&s);
-    if !s.contains(['.', 'e', 'E']) {
-        // "{}" prints integral floats without a dot; keep the float type
-        // distinction on the wire (also preserves -0.0 through roundtrips).
-        out.push_str(".0");
-    }
-}
-
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-// ---------------------------------------------------------------------------
-// Parser
-// ---------------------------------------------------------------------------
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), Error> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(Error::custom(format!(
-                "expected {:?} at byte {}, found {:?}",
-                b as char,
-                self.pos,
-                self.peek().map(|c| c as char)
-            )))
-        }
-    }
-
-    fn eat_literal(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Value, Error> {
-        match self.peek() {
-            Some(b'n') if self.eat_literal("null") => Ok(Value::Null),
-            Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
-            Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
-            Some(b'"') => self.parse_string().map(Value::String),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
-            other => Err(Error::custom(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|c| c as char),
-                self.pos
-            ))),
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(Error::custom(format!("expected ',' or ']' at byte {}", self.pos))),
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.parse_value()?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(pairs));
-                }
-                _ => return Err(Error::custom(format!("expected ',' or '}}' at byte {}", self.pos))),
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            // Copy the maximal run of unescaped bytes in one shot. UTF-8
-            // continuation bytes are >= 0x80, so they can never alias the
-            // quote or backslash we scan for, and the run is validated as
-            // one slice rather than per character.
-            let start = self.pos;
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' || b == b'\\' {
-                    break;
-                }
-                self.pos += 1;
-            }
-            if self.pos > start {
-                let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| Error::custom("invalid UTF-8 in string"))?;
-                out.push_str(s);
-            }
-            let Some(b) = self.peek() else {
-                return Err(Error::custom("unterminated string"));
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(Error::custom("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hi = self.parse_hex4()?;
-                            let cp = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: expect \uXXXX low half.
-                                if !self.eat_literal("\\u") {
-                                    return Err(Error::custom("unpaired surrogate"));
-                                }
-                                let lo = self.parse_hex4()?;
-                                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                            } else {
-                                hi
-                            };
-                            out.push(
-                                char::from_u32(cp)
-                                    .ok_or_else(|| Error::custom("invalid \\u escape"))?,
-                            );
-                        }
-                        other => {
-                            return Err(Error::custom(format!(
-                                "invalid escape \\{}",
-                                other as char
-                            )))
-                        }
-                    }
-                }
-                _ => unreachable!("run scan stops only on '\"' or '\\\\'"),
-            }
-        }
-    }
-
-    fn parse_hex4(&mut self) -> Result<u32, Error> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err(Error::custom("truncated \\u escape"));
-        }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| Error::custom("invalid \\u escape"))?;
-        self.pos += 4;
-        u32::from_str_radix(hex, 16).map_err(|_| Error::custom("invalid \\u escape"))
-    }
-
-    fn parse_number(&mut self) -> Result<Value, Error> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::custom("invalid number"))?;
-        if !is_float {
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(Value::Num(Number::I64(i)));
-            }
-            if let Ok(u) = text.parse::<u64>() {
-                return Ok(Value::Num(Number::U64(u)));
-            }
-        }
-        text.parse::<f64>()
-            .map(|f| Value::Num(Number::F64(f)))
-            .map_err(|_| Error::custom(format!("invalid number {text:?}")))
-    }
+    let mut r = Reader::new(text);
+    let value = T::deserialize(&mut r)?;
+    r.end()?;
+    Ok(value)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::{Number, Value};
 
     #[test]
     fn text_roundtrip() {
@@ -357,5 +62,85 @@ mod tests {
         assert!(from_str::<u8>("300").is_err());
         assert!(from_str::<String>("\"unterminated").is_err());
         assert!(from_str::<bool>("true false").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        assert!(from_str::<Value>(&"[".repeat(200_000)).is_err());
+        let nested = format!("{}{}", "[".repeat(128), "]".repeat(128));
+        assert!(from_str::<Value>(&nested).is_ok());
+        assert!(from_str::<Value>(&format!("[{nested}]")).is_err());
+    }
+
+    #[test]
+    fn errors_name_the_field_path_and_the_byte_offset() {
+        #[derive(Debug, serde::Deserialize)]
+        struct Outer {
+            _inner: Vec<u8>,
+        }
+        let e = from_str::<Outer>("{\"_inner\": [1, \"x\"]}").unwrap_err();
+        assert_eq!(e.offset(), 15);
+        assert_eq!(e.to_string(), "Outer._inner: expected u8, found string at byte 15");
+        let e = from_str::<String>("\"unterminated").unwrap_err();
+        assert_eq!(e.to_string(), "unterminated string at byte 13");
+    }
+
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    enum Shape {
+        Unit,
+        Newtype(u8),
+        Tuple(u8, String),
+        #[rustfmt::skip]
+        Struct { a: u8, #[serde(skip)] b: u8 },
+    }
+
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    struct Fields {
+        z: Shape,
+        a: Vec<Shape>,
+        #[serde(skip)]
+        skipped: u8,
+    }
+
+    #[test]
+    fn pins_the_bytes_of_enum_variants_and_struct_fields() {
+        let v = Fields {
+            z: Shape::Unit,
+            a: vec![Shape::Newtype(1), Shape::Tuple(2, "x".into()), Shape::Struct { a: 3, b: 4 }],
+            skipped: 5,
+        };
+        let json = r#"{"z":"Unit","a":[{"Newtype":1},{"Tuple":[2,"x"]},{"Struct":{"a":3}}]}"#;
+        assert_eq!(to_string(&v).unwrap(), json);
+        let back: Fields = from_str(json).unwrap();
+        assert_eq!(back.a[2], Shape::Struct { a: 3, b: 0 });
+        // Fields in any order, unknown keys skipped, missing fields rejected.
+        let reordered: Fields = from_str(r#"{"a":[],"x":{"y":[1]},"z":"Unit"}"#).unwrap();
+        assert_eq!(reordered, Fields { z: Shape::Unit, a: vec![], skipped: 0 });
+        assert!(from_str::<Fields>(r#"{"a":[]}"#).is_err());
+        let map: std::collections::BTreeMap<u8, Vec<f64>> = [(3, vec![1.0]), (1, vec![])].into();
+        assert_eq!(to_string(&map).unwrap(), "[[1,[]],[3,[1.0]]]");
+        assert!(from_str::<Shape>(r#"{"Newtype":1,"Unit":null}"#).is_err());
+    }
+
+    #[test]
+    fn pins_the_bytes_of_strings_and_numbers() {
+        let s = "q\"b\\s\n\r\t\u{1}\u{1f}é€😀";
+        let json = r#""q\"b\\s\n\r\t\u0001\u001fé€😀""#;
+        assert_eq!(to_string(s).unwrap(), json);
+        assert_eq!(from_str::<String>(json).unwrap(), s);
+        assert_eq!(from_str::<String>(r#""\ud83d\ude00\/\b\f""#).unwrap(), "😀/\u{8}\u{c}");
+        assert!(from_str::<String>(r#""\ud83d""#).is_err());
+        assert_eq!(to_string(&-0.0f64).unwrap(), "-0.0");
+        let floats = [f64::NAN, f64::NEG_INFINITY, 1e16, 2.5e-7];
+        assert_eq!(to_string(&floats[..]).unwrap(), "[null,null,10000000000000000.0,0.00000025]");
+        assert!(from_str::<f64>("null").unwrap().is_nan());
+        assert_eq!(from_str::<f64>("-7").unwrap(), -7.0);
+        assert!(from_str::<i64>("1.0").is_err());
+        let (big, text) = (u64::MAX - 1, "18446744073709551614");
+        assert_eq!(to_string(&big).unwrap(), text);
+        assert_eq!(from_str::<u64>(text).unwrap(), big);
+        assert!(from_str::<i64>(text).is_err());
+        assert_eq!(from_str::<Value>(text).unwrap(), Value::Num(Number::U64(big)));
+        assert_eq!(to_string(&i64::MIN).unwrap(), "-9223372036854775808");
     }
 }

@@ -19,25 +19,13 @@
 use crate::error::ConfigError;
 use crate::snapshot::{Login, Snapshot, SnapshotMeta};
 use mpa_model::{DeviceId, Timestamp};
-use serde::{expect_object, field, Deserialize, Error as SerdeError, Serialize, Value};
+use serde::{Deserialize, Error as SerdeError, Reader, Serialize, Writer};
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{DefaultHasher, Hash, Hasher};
 
 /// Id of an interned configuration line within an archive's [`LineTable`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct LineId(pub u32);
-
-impl Serialize for LineId {
-    fn to_value(&self) -> Value {
-        self.0.to_value()
-    }
-}
-
-impl Deserialize for LineId {
-    fn from_value(v: &Value) -> Result<Self, SerdeError> {
-        u32::from_value(v).map(LineId)
-    }
-}
 
 /// Fast multiply-mix hash of a line's bytes (FxHash-style), for the
 /// intern index. The hash function cannot affect behavior — collisions
@@ -81,16 +69,6 @@ struct LineTable {
 }
 
 impl LineTable {
-    /// Rebuild from a deserialized line list (lines are distinct by
-    /// construction — they come from a serialized intern table).
-    fn from_lines(lines: Vec<String>) -> Self {
-        let mut table = Self::default();
-        for line in &lines {
-            table.insert_new(line);
-        }
-        table
-    }
-
     /// Append a line known to be absent, returning its new id.
     fn insert_new(&mut self, line: &str) -> LineId {
         let id = u32::try_from(self.spans.len()).expect("line table overflow");
@@ -171,15 +149,23 @@ impl LineTable {
     }
 }
 
+/// On the wire: the lines as a JSON array of strings, in id order.
 impl Serialize for LineTable {
-    fn to_value(&self) -> Value {
-        self.line_strs().map(str::to_string).collect::<Vec<String>>().to_value()
+    fn serialize(&self, w: &mut Writer) {
+        w.seq(self.line_strs());
     }
 }
 
 impl Deserialize for LineTable {
-    fn from_value(v: &Value) -> Result<Self, SerdeError> {
-        Vec::<String>::from_value(v).map(Self::from_lines)
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, SerdeError> {
+        // Straight into the arena. The lines are distinct by construction:
+        // they come from a serialized intern table.
+        let mut table = Self::default();
+        r.seq(|r| {
+            table.insert_new(&r.str()?);
+            Ok(())
+        })?;
+        Ok(table)
     }
 }
 
@@ -277,6 +263,19 @@ impl DeltaRef<'_> {
     }
 }
 
+/// Written exactly as the [`LineDelta`] it views.
+impl Serialize for DeltaRef<'_> {
+    fn serialize(&self, w: &mut Writer) {
+        w.raw("{\"at\":");
+        self.at.serialize(w);
+        w.raw(",\"removed\":");
+        self.removed.serialize(w);
+        w.raw(",\"added\":");
+        self.added.serialize(w);
+        w.raw("}");
+    }
+}
+
 /// Bounds of one delta inside a [`DeviceHistory`]'s packed id stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct DeltaMeta {
@@ -343,12 +342,23 @@ impl DeviceHistory {
         self.delta_ids.extend_from_slice(&d.added);
     }
 
-    fn rebuild_tip(&mut self) {
+    /// Replay the deltas from `base` to rebuild `tip`. A damaged file can
+    /// hold a history that does not replay; that fails here, checked,
+    /// rather than panicking in a splice.
+    fn rebuild_tip(&mut self) -> Result<(), &'static str> {
+        if self.text_lens.len() != self.metas.len() || self.n_deltas() + 1 != self.metas.len() {
+            return Err("snapshot, length and delta counts disagree");
+        }
         let mut cur = self.base.clone();
         for i in 0..self.n_deltas() {
-            self.delta(i).apply(&mut cur);
+            let d = self.delta(i);
+            if cur.get(d.at as usize..d.at as usize + d.removed.len()) != Some(d.removed) {
+                return Err("a delta does not fit the snapshot it applies to");
+            }
+            d.apply(&mut cur);
         }
         self.tip = cur;
+        Ok(())
     }
 
     fn stored_ids(&self) -> usize {
@@ -386,37 +396,48 @@ impl DeviceHistory {
     }
 }
 
+/// The wire names of a [`DeviceHistory`]'s fields. The wire format keeps one
+/// `LineDelta` object per delta: the packed stream is an in-memory layout,
+/// not a format.
+const HISTORY_FIELDS: [&str; 4] = ["metas", "text_lens", "base", "deltas"];
+
 impl Serialize for DeviceHistory {
-    fn to_value(&self) -> Value {
-        // The wire format stays one `LineDelta` object per delta (the
-        // packed stream is an in-memory layout, not a format).
-        let deltas: Vec<LineDelta> =
-            (0..self.n_deltas()).map(|i| self.delta(i).to_owned()).collect();
-        Value::Object(vec![
-            ("metas".to_string(), self.metas.to_value()),
-            ("text_lens".to_string(), self.text_lens.to_value()),
-            ("base".to_string(), self.base.to_value()),
-            ("deltas".to_string(), deltas.to_value()),
-        ])
+    fn serialize(&self, w: &mut Writer) {
+        w.raw("{\"metas\":");
+        self.metas.serialize(w);
+        w.raw(",\"text_lens\":");
+        self.text_lens.serialize(w);
+        w.raw(",\"base\":");
+        self.base.serialize(w);
+        w.raw(",\"deltas\":");
+        w.seq((0..self.n_deltas()).map(|i| self.delta(i)));
+        w.raw("}");
     }
 }
 
 impl Deserialize for DeviceHistory {
-    fn from_value(v: &Value) -> Result<Self, SerdeError> {
-        let obj = expect_object(v, "DeviceHistory")?;
-        let mut hist = Self {
-            metas: field(obj, "metas", "DeviceHistory")?,
-            text_lens: field(obj, "text_lens", "DeviceHistory")?,
-            base: field(obj, "base", "DeviceHistory")?,
-            delta_meta: Vec::new(),
-            delta_ids: Vec::new(),
-            tip: Vec::new(),
-        };
-        let deltas: Vec<LineDelta> = field(obj, "deltas", "DeviceHistory")?;
-        for d in &deltas {
-            hist.push_delta(d);
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, SerdeError> {
+        // Fields in any order, unknown keys skipped, like a derived impl;
+        // each delta goes straight onto the packed stream.
+        let (mut hist, mut seen) = (Self::default(), [false; 4]);
+        r.object(|r, key| {
+            let Some(i) = HISTORY_FIELDS.iter().position(|&f| f == key).filter(|&i| !seen[i])
+            else {
+                return r.skip();
+            };
+            seen[i] = true;
+            match i {
+                0 => Vec::deserialize(r).map(|v| hist.metas = v),
+                1 => Vec::deserialize(r).map(|v| hist.text_lens = v),
+                2 => Vec::deserialize(r).map(|v| hist.base = v),
+                _ => r.seq(|r| LineDelta::deserialize(r).map(|d| hist.push_delta(&d))),
+            }
+            .map_err(|e| e.within("DeviceHistory", key))
+        })?;
+        for (field, seen) in HISTORY_FIELDS.iter().zip(seen) {
+            r.required(seen.then_some(()), "DeviceHistory", field)?;
         }
-        hist.rebuild_tip();
+        hist.rebuild_tip().map_err(|e| r.error(format!("DeviceHistory: {e}")))?;
         Ok(hist)
     }
 }
@@ -567,7 +588,7 @@ impl ReplayBuffer {
 /// compressed-representation accessors ([`Self::text_bytes`]) and the
 /// zero-copy replay path ([`Self::device_texts`]) the inference pipeline
 /// uses.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SnapshotArchive {
     table: LineTable,
     by_device: BTreeMap<DeviceId, DeviceHistory>,
@@ -908,25 +929,6 @@ impl<'a> DeltaCursor<'a> {
         delta.apply(&mut self.cur);
         self.ix += 1;
         Some(delta)
-    }
-}
-
-impl Serialize for SnapshotArchive {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("table".to_string(), self.table.to_value()),
-            ("by_device".to_string(), self.by_device.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for SnapshotArchive {
-    fn from_value(v: &Value) -> Result<Self, SerdeError> {
-        let obj = expect_object(v, "SnapshotArchive")?;
-        Ok(Self {
-            table: field(obj, "table", "SnapshotArchive")?,
-            by_device: field(obj, "by_device", "SnapshotArchive")?,
-        })
     }
 }
 

@@ -132,6 +132,7 @@ fn main() {
         eprintln!("{} is not a dataset JSON: {e}", opts.dataset);
         std::process::exit(1);
     });
+    drop(json); // the daemon keeps the decoded dataset, not its text
     dataset.inventory.rebuild_index(); // skipped field; see Inventory docs
 
     let session_config = SessionConfig {

@@ -332,6 +332,12 @@ fn rejected_and_malformed_requests_get_4xx_and_the_daemon_survives() {
     assert_eq!(status, 404);
     let (status, body) = daemon.post("/ingest", "{not json");
     assert_eq!(status, 400, "body: {body}");
+    // Nesting far past the decoder's depth cap, bare and inside a field the
+    // batch does not have: a 400, not a stack overflow that kills the daemon.
+    for deep in ["[".repeat(200_000), format!("{{\"extra\": {}", "[".repeat(200_000))] {
+        let (status, body) = daemon.post("/ingest", &deep);
+        assert_eq!(status, 400, "body: {body}");
+    }
     let (status, body) = daemon.post(
         "/ingest",
         "{\"snapshots\": [], \"tickets\": [{\"id\": 7, \"network\": 999999, \

@@ -9,7 +9,10 @@
 //!
 //! The fixtures cover the three analytic layers the paper reports on: the
 //! inferred case table (§2), the MI practice ranking (§4, Table 3) and a
-//! QED causal summary (§5, Table 7).
+//! QED causal summary (§5, Table 7). The dataset hand-off file itself is
+//! too large to commit (5 MB), so `dataset_small.fnv1a64` pins its bytes by
+//! digest: a wire-format change that encoder and decoder agree on still
+//! fails here.
 
 use mpa::prelude::*;
 use std::path::PathBuf;
@@ -18,9 +21,17 @@ fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests").join("golden")
 }
 
+/// 64-bit FNV-1a, the digest perfbench uses for output fingerprints.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// Render every fixture from a fresh small-seed pipeline run.
 fn render_fixtures() -> Vec<(&'static str, String)> {
     let dataset = Scenario::small().generate();
+    let dataset_json = serde_json::to_string(&dataset).expect("serializes");
     let table = infer_case_table(&dataset);
     let mi = mi_ranking(&table, 10);
     // The paper's Table 7 treatment of interest; any fixed metric works —
@@ -31,6 +42,7 @@ fn render_fixtures() -> Vec<(&'static str, String)> {
         ("case_table_small.json", serde_json::to_string(&table).expect("serializes")),
         ("mi_ranking_small.json", serde_json::to_string(&mi).expect("serializes")),
         ("qed_config_changes_small.json", serde_json::to_string(&qed).expect("serializes")),
+        ("dataset_small.fnv1a64", format!("{:016x}\n", fnv1a64(dataset_json.as_bytes()))),
     ]
 }
 
@@ -77,4 +89,14 @@ fn both_infer_modes_reproduce_the_golden_case_table() {
         let rendered = serde_json::to_string(&inference.table).expect("serializes");
         assert_eq!(committed, rendered, "{engine} engine diverged from the golden case table");
     }
+}
+
+#[test]
+fn dataset_bytes_survive_a_decode_and_re_encode() {
+    // The digest above pins the encoder; this pins the decoder against it:
+    // whatever the file holds must come back as the same bytes.
+    let json = serde_json::to_string(&Scenario::small().generate()).expect("serializes");
+    let decoded: Dataset = serde_json::from_str(&json).expect("decodes");
+    let again = serde_json::to_string(&decoded).expect("serializes");
+    assert!(json == again, "decode + re-encode changed the dataset bytes");
 }
