@@ -21,7 +21,6 @@ use crate::snapshot::{Login, Snapshot, SnapshotMeta};
 use mpa_model::{DeviceId, Timestamp};
 use serde::{Deserialize, Error as SerdeError, Reader, Serialize, Writer};
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{DefaultHasher, Hash, Hasher};
 
 /// Id of an interned configuration line within an archive's [`LineTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -465,133 +464,40 @@ fn materialize(table: &LineTable, lines: &[LineId], text_len: usize) -> String {
     out
 }
 
-/// Reusable scratch for [`SnapshotArchive::device_distinct_texts`]: one
-/// device's **distinct** snapshot texts packed back-to-back into a single
-/// arena, plus the canonical (distinct-slot) index of every snapshot.
-///
-/// Duplicate snapshot states — a device reverting to an exact earlier
-/// configuration — are detected *before* any text is rendered, by comparing
-/// the delta-replayed interned line-id sequences together with the recorded
-/// byte length (within one archive, `(line ids, byte length)` identifies a
-/// snapshot's text exactly: interning is canonical, and the byte length
-/// disambiguates the trailing newline). Only distinct states are
-/// materialized, into the shared arena, so a full device walk costs one
-/// `String` total instead of one per snapshot — the allocation churn that
-/// used to serialize the parallel inference phase on the allocator.
-///
-/// Reuse the buffer across devices (`device_distinct_texts` clears it but
-/// keeps capacity); slices returned by [`Self::text`] borrow the arena and
-/// stay valid until the next fill.
-#[derive(Debug, Default)]
-pub struct ReplayBuffer {
-    /// Arena holding the distinct snapshot texts, concatenated.
-    text: String,
-    /// Byte range of each distinct slot within `text`.
-    spans: Vec<(usize, usize)>,
-    /// `canon[ix]` = distinct slot carrying snapshot `ix`'s text.
-    canon: Vec<usize>,
-    /// Arena of the distinct slots' line-id sequences (the dedup key).
-    ids: Vec<LineId>,
-    /// Per-slot `(ids_start, ids_end, text_len)`.
-    id_spans: Vec<(usize, usize, usize)>,
-    /// Sequence-hash → candidate slots. Lookup-only (collisions resolved by
-    /// comparing the stored sequences), so determinism is unaffected.
-    index: HashMap<u64, Vec<usize>>,
-    /// Replay cursor (the current line-id state), reused across devices.
-    cur: Vec<LineId>,
-}
-
-impl ReplayBuffer {
-    /// Empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Snapshots replayed by the last fill.
-    pub fn n_snapshots(&self) -> usize {
-        self.canon.len()
-    }
-
-    /// Distinct snapshot states materialized by the last fill.
-    pub fn n_distinct(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// Canonical distinct-slot index per snapshot, oldest first (parallel
-    /// to [`SnapshotArchive::device_metas`]).
-    pub fn canon(&self) -> &[usize] {
-        &self.canon
-    }
-
-    /// The materialized text of a distinct slot.
-    pub fn text(&self, slot: usize) -> &str {
-        let (start, end) = self.spans[slot];
-        &self.text[start..end]
-    }
-
-    /// The text of snapshot `ix` (convenience over `text(canon[ix])`).
-    pub fn snapshot_text(&self, ix: usize) -> &str {
-        self.text(self.canon[ix])
-    }
-
-    fn clear(&mut self) {
-        self.text.clear();
-        self.spans.clear();
-        self.canon.clear();
-        self.ids.clear();
-        self.id_spans.clear();
-        self.index.clear();
-    }
-
-    /// Cap the retained arena capacity at roughly `max_bytes`.
-    ///
-    /// A reused buffer grows to the largest fill it ever served and keeps
-    /// that high-water capacity until dropped — one outlier device pins its
-    /// arena for the rest of the worker's region. Callers that hold a buffer
-    /// across many fills invoke this between fills: it is a no-op while the
-    /// arena is within the cap, and shrinks (discarding the current
-    /// contents) only past it. Slices from [`Self::text`] are invalidated.
-    pub fn reclaim(&mut self, max_bytes: usize) {
-        if self.text.capacity() > max_bytes {
-            self.clear();
-            self.text.shrink_to(max_bytes);
-            self.ids.shrink_to(max_bytes / std::mem::size_of::<LineId>());
-            self.cur.shrink_to(max_bytes / std::mem::size_of::<LineId>());
-            self.spans.shrink_to_fit();
-            self.id_spans.shrink_to_fit();
-            self.canon.shrink_to_fit();
-        }
-    }
-
-    fn seq_hash(ids: &[LineId], text_len: usize) -> u64 {
-        let mut h = DefaultHasher::new();
-        ids.hash(&mut h);
-        text_len.hash(&mut h);
-        h.finish()
-    }
-
-    /// The slot already carrying `(ids, text_len)`, if any.
-    fn find(&self, hash: u64, ids: &[LineId], text_len: usize) -> Option<usize> {
-        let candidates = self.index.get(&hash)?;
-        candidates.iter().copied().find(|&slot| {
-            let (start, end, len) = self.id_spans[slot];
-            len == text_len && self.ids[start..end] == *ids
-        })
-    }
-}
-
 /// Per-device, chronologically ordered snapshot store, delta-encoded.
 ///
-/// Drop-in successor of the seed's full-text `Archive`: same `push` /
-/// `devices` / `n_snapshots` / `total_bytes` / `latest_at` surface (with
-/// materializing accessors returning owned [`Snapshot`]s), plus the
-/// compressed-representation accessors ([`Self::text_bytes`]) and the
-/// zero-copy replay path ([`Self::device_texts`]) the inference pipeline
-/// uses.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// Appends go through [`Self::push`]; materializing accessors
+/// ([`Self::device_texts`], [`Self::latest_at`]) return owned text, and
+/// [`Self::delta_cursor`] walks a history at the line-id level without
+/// rendering any (the inference pipeline's path).
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct SnapshotArchive {
     table: LineTable,
     by_device: BTreeMap<DeviceId, DeviceHistory>,
+}
+
+impl Deserialize for SnapshotArchive {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, SerdeError> {
+        // The derived reader, declared under this type's name so that its
+        // errors read the same.
+        #[derive(Deserialize)]
+        struct SnapshotArchive {
+            table: LineTable,
+            by_device: BTreeMap<DeviceId, DeviceHistory>,
+        }
+        let SnapshotArchive { table, by_device } = SnapshotArchive::deserialize(r)?;
+        // Replay indexes the line table with every stored id, so an id past
+        // its end must fail here, not panic in inference.
+        for (dev, hist) in &by_device {
+            if hist.base.iter().chain(&hist.delta_ids).any(|id| id.0 as usize >= table.len()) {
+                return Err(r.error(format!(
+                    "SnapshotArchive: device {dev} names a line past the {}-line table",
+                    table.len()
+                )));
+            }
+        }
+        Ok(Self { table, by_device })
+    }
 }
 
 impl SnapshotArchive {
@@ -672,67 +578,6 @@ impl SnapshotArchive {
             out.push(materialize(&self.table, &cur, len));
         }
         out
-    }
-
-    /// Replay a device's history, dedup snapshot states on the interned
-    /// line-id sequences, and materialize **only the distinct states** into
-    /// `buf`'s shared arena (cleared first, capacity kept).
-    ///
-    /// This is the inference hot path: where [`Self::device_texts`] returns
-    /// one freshly allocated `String` per snapshot and leaves duplicate
-    /// detection (hashing full text) to the caller, this path compares
-    /// 4-byte-per-line id sequences and renders each distinct text once.
-    /// `buf.canon()` maps every snapshot to its distinct slot, in
-    /// first-appearance order — byte-for-byte the same canonicalization a
-    /// full-text dedup would produce (property-tested).
-    pub fn device_distinct_texts(&self, dev: DeviceId, buf: &mut ReplayBuffer) {
-        buf.clear();
-        let Some(hist) = self.by_device.get(&dev) else {
-            return;
-        };
-        let mut cur = std::mem::take(&mut buf.cur);
-        cur.clear();
-        cur.extend_from_slice(&hist.base);
-        for (i, &text_len) in hist.text_lens.iter().enumerate() {
-            if i > 0 {
-                hist.delta(i - 1).apply(&mut cur);
-            }
-            let hash = ReplayBuffer::seq_hash(&cur, text_len);
-            let slot = match buf.find(hash, &cur, text_len) {
-                Some(slot) => slot,
-                None => {
-                    let slot = buf.spans.len();
-                    let ids_start = buf.ids.len();
-                    buf.ids.extend_from_slice(&cur);
-                    buf.id_spans.push((ids_start, buf.ids.len(), text_len));
-                    buf.index.entry(hash).or_default().push(slot);
-                    // Render straight into the arena (the inlined body of
-                    // `materialize`, minus the temporary String).
-                    let start = buf.text.len();
-                    for (k, &id) in cur.iter().enumerate() {
-                        if k > 0 {
-                            buf.text.push('\n');
-                        }
-                        buf.text.push_str(self.table.get(id));
-                    }
-                    if buf.text.len() - start + 1 == text_len {
-                        buf.text.push('\n');
-                    }
-                    debug_assert_eq!(
-                        buf.text.len() - start,
-                        text_len,
-                        "reconstruction length mismatch"
-                    );
-                    buf.spans.push((start, buf.text.len()));
-                    slot
-                }
-            };
-            buf.canon.push(slot);
-        }
-        buf.cur = cur;
-        // Batched: one add per device keeps the replay loop free of atomics.
-        mpa_obs::counters::ARCHIVE_SNAPSHOTS_MATERIALIZED.add(buf.spans.len() as u64);
-        mpa_obs::counters::ARCHIVE_BYTES_MATERIALIZED.add(buf.text.len() as u64);
     }
 
     /// Walk a device's history at the **delta level**, without materializing
@@ -1055,13 +900,9 @@ impl ArchiveBuilder {
         let mut by_device = BTreeMap::new();
         for (dev, mut pending) in self.pending {
             pending.sort_by_key(|p| p.time);
-            pending.dedup_by(|b, a| {
-                // mpa-lint: allow(R7) -- pending ranges were carved out of `ids` by the loader above
-                a.text_len == b.text_len && ids[a.range()] == ids[b.range()]
-            });
+            pending.dedup_by(|b, a| a.text_len == b.text_len && ids[a.range()] == ids[b.range()]);
             let mut hist = DeviceHistory::default();
             for (i, snap) in pending.into_iter().enumerate() {
-                // mpa-lint: allow(R7) -- pending ranges were carved out of `ids` by the loader above
                 let lines = &ids[snap.range()];
                 if i == 0 {
                     hist.base.extend_from_slice(lines);

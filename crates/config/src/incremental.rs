@@ -254,7 +254,7 @@ impl DeviceReplay {
     }
 
     /// Distinct snapshot states (dedup on `(line ids, byte length)`,
-    /// identical to the materializing path's canonicalization).
+    /// identical to a full-text first-seen dedup; property-tested).
     pub fn n_distinct(&self) -> usize {
         self.slots.len()
     }

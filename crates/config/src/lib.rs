@@ -60,11 +60,8 @@ pub mod snapshot;
 pub mod typemap;
 
 pub use archive::{
-    ArchiveBuilder, DeltaCursor, DeltaRef, LineDelta, LineId, RenderCache, ReplayBuffer,
-    SnapshotArchive,
+    ArchiveBuilder, DeltaCursor, DeltaRef, LineDelta, LineId, RenderCache, SnapshotArchive,
 };
-/// Compatibility alias: the archive is the delta-encoded store.
-pub use archive::SnapshotArchive as Archive;
 pub use diff::{diff_configs, ChangeAction, StanzaChange};
 pub use error::ConfigError;
 pub use facts::ConfigFacts;

@@ -5,11 +5,10 @@
 
 use mpa_config::render::{interface_name, parse_interface_name};
 use mpa_config::snapshot::{Login, Snapshot, SnapshotMeta};
-use mpa_config::{LineDelta, LineId, ReplayBuffer, SnapshotArchive};
+use mpa_config::{LineDelta, LineId, SnapshotArchive};
 use mpa_model::device::Dialect;
 use mpa_model::{DeviceId, Timestamp};
 use proptest::prelude::*;
-use std::collections::HashMap;
 
 /// Arbitrary line-id sequences (small alphabet so prefixes/suffixes collide
 /// often — the interesting regime for hunk trimming).
@@ -75,75 +74,6 @@ proptest! {
             prop_assert_eq!(&snap.text, text);
         }
         prop_assert_eq!(archive.total_bytes(), texts.iter().map(String::len).sum::<usize>());
-    }
-
-    #[test]
-    fn distinct_replay_agrees_with_full_text_dedup(
-        texts in proptest::collection::vec(arb_text(), 1..10),
-        reverts in proptest::collection::vec(0usize..10, 0..8),
-    ) {
-        // History = arbitrary texts followed by arbitrary reverts to
-        // earlier states (the regime where dedup actually fires); the
-        // small alphabet in `arb_text` also makes two independently drawn
-        // texts collide often.
-        let mut history: Vec<String> = texts.clone();
-        history.extend(reverts.iter().map(|&r| texts[r % texts.len()].clone()));
-        let mut archive = SnapshotArchive::new();
-        for (i, text) in history.iter().enumerate() {
-            archive.push(Snapshot {
-                meta: SnapshotMeta {
-                    device: DeviceId(1),
-                    time: Timestamp(i as u64),
-                    login: Login::new("p"),
-                },
-                text: text.clone(),
-            }).unwrap();
-        }
-
-        // Reference canonicalization: full-text first-seen dedup over the
-        // materializing replay path.
-        let full = archive.device_texts(DeviceId(1));
-        let mut first: HashMap<&str, usize> = HashMap::new();
-        let mut canon_ref: Vec<usize> = Vec::new();
-        let mut slot_of: Vec<usize> = Vec::new(); // slot -> first snapshot ix
-        for (ix, t) in full.iter().enumerate() {
-            let slot = *first.entry(t.as_str()).or_insert_with(|| {
-                slot_of.push(ix);
-                slot_of.len() - 1
-            });
-            canon_ref.push(slot);
-        }
-
-        let mut buf = ReplayBuffer::new();
-        archive.device_distinct_texts(DeviceId(1), &mut buf);
-        prop_assert_eq!(buf.n_snapshots(), full.len());
-        prop_assert_eq!(buf.canon(), &canon_ref[..], "line-id dedup must equal text dedup");
-        prop_assert_eq!(buf.n_distinct(), slot_of.len());
-        for (slot, &ix) in slot_of.iter().enumerate() {
-            prop_assert_eq!(buf.text(slot), full[ix].as_str());
-        }
-        for (ix, text) in full.iter().enumerate() {
-            prop_assert_eq!(buf.snapshot_text(ix), text.as_str());
-        }
-
-        // Buffer reuse across devices must not leak state: fill for a
-        // second device and check again.
-        let mut archive2 = SnapshotArchive::new();
-        archive2.push(Snapshot {
-            meta: SnapshotMeta {
-                device: DeviceId(2),
-                time: Timestamp(0),
-                login: Login::new("p"),
-            },
-            text: "unrelated\n".to_string(),
-        }).unwrap();
-        archive2.device_distinct_texts(DeviceId(2), &mut buf);
-        prop_assert_eq!(buf.n_snapshots(), 1);
-        prop_assert_eq!(buf.text(0), "unrelated\n");
-        // And a device absent from the archive yields an empty fill.
-        archive2.device_distinct_texts(DeviceId(9), &mut buf);
-        prop_assert_eq!(buf.n_snapshots(), 0);
-        prop_assert_eq!(buf.n_distinct(), 0);
     }
 
     #[test]

@@ -1,16 +1,18 @@
 //! Property-based oracle equivalence for delta-native inference: on
 //! arbitrary snapshot histories — both dialects, reverts to earlier
 //! states, trailing-newline variants, unparseable states mixed in — the
-//! incremental engine must classify every state's parseability exactly as
-//! the full parser does, assemble identical parsed configs for parseable
-//! states, and emit stanza changes identical to `diff_configs` over the
-//! full parses for every adjacent parseable pair.
+//! incremental engine must dedup states exactly as a full-text dedup does,
+//! classify every state's parseability exactly as the full parser does,
+//! assemble identical parsed configs for parseable states, and emit stanza
+//! changes identical to `diff_configs` over the full parses for every
+//! adjacent parseable pair.
 
 use mpa_config::snapshot::{Login, Snapshot, SnapshotMeta};
 use mpa_config::{diff_configs, parse_config, DeltaInference, LineClasses, SnapshotArchive};
 use mpa_model::device::Dialect;
 use mpa_model::{DeviceId, Timestamp};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 /// A config-shaped line for the block-keyword dialect: headers, bodies,
 /// comments, hostname declarations (including the bare reset) and blanks.
@@ -84,6 +86,15 @@ fn assert_matches_oracle(dialect: Dialect, history: &[String]) {
     let mut engine = DeltaInference::new(&archive, &classes);
     let replay = engine.replay_device(DeviceId(1), dialect).expect("device has snapshots");
     assert_eq!(replay.n_snapshots(), history.len());
+    // State dedup on `(line ids, byte length)` equals full-text first-seen
+    // dedup, so both engines count the same parse-cache hits and misses.
+    let mut first_seen: HashMap<&str, u32> = HashMap::new();
+    for (ix, text) in history.iter().enumerate() {
+        let next = first_seen.len() as u32;
+        let slot = *first_seen.entry(text).or_insert(next);
+        assert_eq!(replay.slot(ix), slot, "snapshot {ix} dedup slot diverged");
+    }
+    assert_eq!(replay.n_distinct(), first_seen.len());
 
     let oracle: Vec<_> = history.iter().map(|t| parse_config(t, dialect).ok()).collect();
     for (ix, parse) in oracle.iter().enumerate() {

@@ -243,12 +243,11 @@ fn infer(opts: &Opts) {
         eprintln!("cannot read {path}: {e}");
         std::process::exit(1);
     });
-    let mut dataset: Dataset = serde_json::from_str(&json).unwrap_or_else(|e| {
+    let dataset: Dataset = serde_json::from_str(&json).unwrap_or_else(|e| {
         eprintln!("{path} is not a dataset JSON: {e}");
         std::process::exit(1);
     });
     drop(json); // inference needs the decoded dataset, not its text
-    dataset.inventory.rebuild_index(); // skipped field; see Inventory docs
     let delta = opts.delta.unwrap_or(mpa_metrics::DELTA_DEFAULT_MINUTES);
     let table = mpa_obs::span("infer", || mpa_metrics::infer(&dataset, delta).table);
     eprintln!("inferred {} cases", table.n_cases());

@@ -52,8 +52,9 @@ pub enum Rule {
     /// per-snapshot replay/render loops. Reachability, not path, decides.
     R7,
     /// Allocation-in-hot-path: `to_string`/`format!`/`Vec::new`/`clone()`
-    /// in a function reachable from the `DeltaCursor`/`RenderCache`/
-    /// `ReplayBuffer` inner loops the delta-native PRs de-allocated.
+    /// in a function reachable from the R8 roots in `audit_roots.txt`: the
+    /// `DeltaCursor::advance` replay step and the `RenderCache::slot_for`
+    /// render lookup, inner loops kept allocation-free.
     R8,
     /// Lock-discipline in `crates/serve`: a `Mutex`/`RwLock` guard
     /// lexically held across an I/O call or across a second lock

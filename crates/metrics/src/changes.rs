@@ -6,12 +6,13 @@
 //! by the vendor-agnostic stanza types it touched and classified as
 //! automated or manual from its login metadata.
 
-use mpa_config::snapshot::{Login, UserDirectory};
+use mpa_config::snapshot::{Login, SnapshotMeta, UserDirectory};
 use mpa_config::typemap::ChangeType;
-use mpa_config::{diff_configs, parse_config, Archive, ParsedConfig};
+use mpa_config::{diff_configs, parse_config, ParsedConfig, SnapshotArchive};
 use mpa_model::device::Dialect;
 use mpa_model::{DeviceId, Timestamp};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// One inferred configuration change on one device.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -46,41 +47,88 @@ impl DeviceChange {
 /// never produces such snapshots, but an inference layer must not panic on
 /// dirty archives).
 pub fn replay_device_changes(
-    archive: &Archive,
+    archive: &SnapshotArchive,
     device: DeviceId,
     dialect: Dialect,
     directory: &UserDirectory,
 ) -> Vec<DeviceChange> {
-    // Materialize the device's texts once (one forward delta replay); the
-    // zero-copy parses borrow from this buffer for the whole walk.
     let texts = archive.device_texts(device);
     let metas = archive.device_metas(device);
     let mut out = Vec::new();
-    let mut prev: Option<ParsedConfig<'_>> = None;
-    for (text, meta) in texts.iter().zip(metas) {
-        let Ok(parsed) = parse_config(text, dialect) else {
-            continue;
-        };
-        if let Some(prev_cfg) = &prev {
-            let stanza_changes = diff_configs(prev_cfg, &parsed);
-            if !stanza_changes.is_empty() {
-                let mut types: Vec<ChangeType> =
-                    stanza_changes.iter().map(|c| c.change_type).collect();
-                types.sort_unstable();
-                types.dedup();
-                out.push(DeviceChange {
-                    device,
-                    time: meta.time,
-                    login: meta.login.clone(),
-                    automated: directory.is_automated(&meta.login),
-                    types,
-                    n_stanzas: stanza_changes.len(),
-                });
-            }
-        }
-        prev = Some(parsed);
-    }
+    ParsedHistory::new(&texts, dialect).push_changes(device, metas, directory, &mut out);
     out
+}
+
+/// One device's snapshot texts, each distinct text parsed whole exactly
+/// once: the full-parse walk behind [`replay_device_changes`] and the
+/// inference oracle (`pipeline::infer_full`).
+pub(crate) struct ParsedHistory<'t> {
+    /// `slots[ix]`: the distinct-text slot of snapshot `ix`, numbered in
+    /// first-seen order. A device that reverts to an earlier text reuses
+    /// that text's slot, so equal slots mean byte-identical texts.
+    pub(crate) slots: Vec<usize>,
+    /// The parse of each distinct text, `None` where the parser rejects it.
+    pub(crate) parsed: Vec<Option<ParsedConfig<'t>>>,
+}
+
+impl<'t> ParsedHistory<'t> {
+    /// Slot and parse `texts` (a device's snapshots, oldest first).
+    pub(crate) fn new(texts: &'t [String], dialect: Dialect) -> Self {
+        // Lookup-only (never iterated): slots follow first-seen order.
+        let mut first_seen: HashMap<&str, usize> = HashMap::new();
+        let mut parsed = Vec::new();
+        let slots = texts
+            .iter()
+            .map(|text| {
+                *first_seen.entry(text).or_insert_with(|| {
+                    parsed.push(parse_config(text, dialect).ok());
+                    parsed.len() - 1
+                })
+            })
+            .collect();
+        Self { slots, parsed }
+    }
+
+    /// The parse of snapshot `ix`, `None` if it does not parse.
+    pub(crate) fn at(&self, ix: usize) -> Option<&ParsedConfig<'t>> {
+        self.parsed[self.slots[ix]].as_ref()
+    }
+
+    /// Append one record per successive pair of parseable snapshots that
+    /// differ in at least one stanza. `metas` is the device's snapshot
+    /// metadata, parallel to the texts.
+    pub(crate) fn push_changes(
+        &self,
+        device: DeviceId,
+        metas: &[SnapshotMeta],
+        directory: &UserDirectory,
+        out: &mut Vec<DeviceChange>,
+    ) {
+        let mut prev: Option<&ParsedConfig<'t>> = None;
+        for (ix, meta) in metas.iter().enumerate() {
+            let Some(parsed) = self.at(ix) else {
+                continue;
+            };
+            if let Some(prev) = prev {
+                let stanza_changes = diff_configs(prev, parsed);
+                if !stanza_changes.is_empty() {
+                    let mut types: Vec<ChangeType> =
+                        stanza_changes.iter().map(|c| c.change_type).collect();
+                    types.sort_unstable();
+                    types.dedup();
+                    out.push(DeviceChange {
+                        device,
+                        time: meta.time,
+                        login: meta.login.clone(),
+                        automated: directory.is_automated(&meta.login),
+                        types,
+                        n_stanzas: stanza_changes.len(),
+                    });
+                }
+            }
+            prev = Some(parsed);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -88,7 +136,7 @@ mod tests {
     use super::*;
     use mpa_config::render_config;
     use mpa_config::semantic::{AclRule, DeviceConfig};
-    use mpa_config::snapshot::{Snapshot, SnapshotMeta};
+    use mpa_config::snapshot::Snapshot;
 
     fn snap(dev: u32, t: u64, login: &str, cfg: &DeviceConfig) -> Snapshot {
         Snapshot {
@@ -109,7 +157,7 @@ mod tests {
     fn replay_produces_typed_records() {
         let mut cfg = DeviceConfig::new("h", Dialect::BlockKeyword);
         cfg.assign_interface_vlan(1, 10);
-        let mut archive = Archive::new();
+        let mut archive = SnapshotArchive::new();
         archive.push(snap(1, 0, "alice", &cfg)).unwrap();
 
         cfg.acl_add_rule("edge", AclRule { permit: true, protocol: "tcp".into(), port: 443 });
@@ -132,7 +180,7 @@ mod tests {
     #[test]
     fn identical_snapshots_produce_no_record() {
         let cfg = DeviceConfig::new("h", Dialect::BlockKeyword);
-        let mut archive = Archive::new();
+        let mut archive = SnapshotArchive::new();
         archive.push(snap(1, 0, "a", &cfg)).unwrap();
         archive.push(snap(1, 50, "a", &cfg)).unwrap();
         let changes =
@@ -142,7 +190,7 @@ mod tests {
 
     #[test]
     fn unknown_device_yields_empty() {
-        let archive = Archive::new();
+        let archive = SnapshotArchive::new();
         assert!(replay_device_changes(&archive, DeviceId(9), Dialect::BlockKeyword, &directory())
             .is_empty());
     }
@@ -150,7 +198,7 @@ mod tests {
     #[test]
     fn unparseable_snapshots_are_skipped_gracefully() {
         let mut cfg = DeviceConfig::new("h", Dialect::BlockKeyword);
-        let mut archive = Archive::new();
+        let mut archive = SnapshotArchive::new();
         archive.push(snap(1, 0, "a", &cfg)).unwrap();
         // A corrupt snapshot (no hostname) in the middle.
         archive
@@ -175,7 +223,7 @@ mod tests {
     fn multi_stanza_change_counts_each_type_once() {
         let mut cfg = DeviceConfig::new("h", Dialect::BlockKeyword);
         cfg.assign_interface_vlan(1, 10);
-        let mut archive = Archive::new();
+        let mut archive = SnapshotArchive::new();
         archive.push(snap(1, 0, "a", &cfg)).unwrap();
         cfg.assign_interface_vlan(2, 10);
         cfg.assign_interface_vlan(3, 10);

@@ -15,7 +15,7 @@
 //! **delta-native** production path ([`infer`]) replays the archive's
 //! line-id deltas through [`DeltaInference`], re-parsing only segments
 //! whose line span changed; the **full** oracle ([`infer_full`])
-//! materializes every distinct text and runs the whole parser on each.
+//! materializes every snapshot text and parses each distinct one whole.
 //! Their outputs are byte-identical (golden- and property-tested) — the
 //! delta path just does string work proportional to changed bytes instead
 //! of archive bytes. Only the equivalence tests call the oracle.
@@ -24,16 +24,13 @@
 //! paper's missing-snapshot months (≈11K usable cases out of 850 × 17).
 
 use crate::catalog::{Metric, N_METRICS};
-use crate::changes::DeviceChange;
+use crate::changes::{DeviceChange, ParsedHistory};
 use crate::design::compute_design;
 use crate::events::{group_events, DELTA_DEFAULT_MINUTES};
 use crate::table::{Case, CaseTable};
 use mpa_config::facts::{extract_facts, ConfigFacts};
 use mpa_config::typemap::ChangeType;
-use mpa_config::{
-    diff_configs, parse_config, ChangeAction, DeltaInference, KeyId, LineClasses, ParsedConfig,
-    ReplayBuffer, SnapshotMeta,
-};
+use mpa_config::{ChangeAction, DeltaInference, KeyId, LineClasses, SnapshotMeta};
 use mpa_model::{DeviceId, NetworkId, Role};
 use mpa_synth::Dataset;
 use std::collections::BTreeMap;
@@ -43,14 +40,6 @@ use std::collections::BTreeMap;
 /// pristine month-to-month cadence, so pristine corpora report few and
 /// degraded ones audit their missing windows.
 const GAP_SPAN_MINUTES: u64 = 45 * 24 * 60;
-
-/// Cap on the replay arena a full-mode worker keeps between devices. A
-/// reused [`ReplayBuffer`] otherwise retains the largest device's footprint
-/// for the rest of its region (per-worker high-water memory that only
-/// returns to the allocator when the region ends); reclaiming past 1 MiB
-/// bounds that retention while leaving the common case — config texts are
-/// a few KiB — reallocation-free.
-const REPLAY_ARENA_CAP_BYTES: usize = 1 << 20;
 
 /// Everything inference produces. The case table drives the analytics; the
 /// per-network change records additionally back the δ-sensitivity and
@@ -185,11 +174,9 @@ fn infer_network(
     let mut facts_by_month: Vec<BTreeMap<DeviceId, ConfigFacts>> =
         vec![BTreeMap::new(); n_months];
 
-    // One engine (or one replay arena, in full mode) serves every device
-    // of the network, so segment parses are shared across devices —
-    // stanzas repeat heavily within a network.
+    // One engine serves every device of the network, so segment parses
+    // are shared across devices — stanzas repeat heavily within a network.
     let mut engine = classes.map(|c| DeltaInference::new(&dataset.archive, c));
-    let mut replay = ReplayBuffer::new();
     let mut pairs: Vec<(KeyId, ChangeAction)> = Vec::new();
     for device in &network.devices {
         let metas = dataset.archive.device_metas(device.id);
@@ -219,15 +206,7 @@ fn infer_network(
                 &mut facts_by_month,
             ),
             None => {
-                infer_device_full(
-                    dataset,
-                    device,
-                    metas,
-                    &mut replay,
-                    &mut net_changes,
-                    &mut facts_by_month,
-                );
-                replay.reclaim(REPLAY_ARENA_CAP_BYTES);
+                infer_device_full(dataset, device, metas, &mut net_changes, &mut facts_by_month)
             }
         }
     }
@@ -327,78 +306,45 @@ fn infer_network(
     (network.id, all_cases, net_changes)
 }
 
-/// Full-parse oracle for one device: materialize every distinct snapshot
-/// text and run the whole parser on each. Retained as the equivalence
-/// oracle for the delta path ([`infer_full`]).
+/// Full-parse oracle for one device: materialize every snapshot text,
+/// parse each distinct text whole and diff successive parses. Retained as
+/// the equivalence oracle for the delta path ([`infer_full`]).
 fn infer_device_full(
     dataset: &Dataset,
     device: &mpa_model::Device,
     metas: &[SnapshotMeta],
-    replay: &mut ReplayBuffer,
     net_changes: &mut Vec<DeviceChange>,
     facts_by_month: &mut [BTreeMap<DeviceId, ConfigFacts>],
 ) {
-    dataset.archive.device_distinct_texts(device.id, replay);
-    // Parse cache: `canon[ix]` is the distinct slot carrying snapshot
-    // `ix`'s text (first-appearance order), so each *distinct* config
-    // of the device is parsed (and fact-extracted) exactly once.
-    // Adjacent duplicates never reach the archive, but reverts to an
-    // earlier state do. Slot assignment equals full-text dedup
-    // (property-tested), so the counters below are mode-independent.
-    // Invariant maintained here: hits + misses == snapshots visited.
-    let canon = replay.canon();
-    let n_distinct = replay.n_distinct() as u64;
-    mpa_obs::counters::PARSE_SNAPSHOTS_VISITED.add(canon.len() as u64);
-    mpa_obs::counters::PARSE_CACHE_HITS.add(canon.len() as u64 - n_distinct);
+    let texts = dataset.archive.device_texts(device.id);
+    // Parse cache: each *distinct* text of the device (adjacent duplicates
+    // never reach the archive, but reverts to an earlier state do) is
+    // parsed and fact-extracted exactly once, so the counters below count
+    // the same states the delta engine's `(line ids, byte length)` dedup
+    // does. Invariant maintained here: hits + misses == snapshots visited.
+    let history = ParsedHistory::new(&texts, device.dialect());
+    let n_distinct = history.parsed.len() as u64;
+    mpa_obs::counters::PARSE_SNAPSHOTS_VISITED.add(metas.len() as u64);
+    mpa_obs::counters::PARSE_CACHE_HITS.add(metas.len() as u64 - n_distinct);
     mpa_obs::counters::PARSE_CACHE_MISSES.add(n_distinct);
     mpa_obs::counters::INFER_FULL_PARSES.add(n_distinct);
-    let parsed: Vec<Option<ParsedConfig<'_>>> = (0..replay.n_distinct())
-        .map(|slot| parse_config(replay.text(slot), device.dialect()).ok())
-        .collect();
-    let parsed_at = |ix: usize| parsed[canon[ix]].as_ref();
 
-    // Change records from successive parseable snapshots.
-    let mut prev_ix: Option<usize> = None;
-    for (ix, meta) in metas.iter().enumerate() {
-        if parsed_at(ix).is_none() {
-            continue;
-        }
-        if let Some(pi) = prev_ix {
-            let old = parsed_at(pi).expect("tracked as parseable");
-            let new = parsed_at(ix).expect("checked");
-            let stanza_changes = diff_configs(old, new);
-            if !stanza_changes.is_empty() {
-                let mut types: Vec<ChangeType> =
-                    stanza_changes.iter().map(|c| c.change_type).collect();
-                types.sort_unstable();
-                types.dedup();
-                net_changes.push(DeviceChange {
-                    device: device.id,
-                    time: meta.time,
-                    login: meta.login.clone(),
-                    automated: dataset.directory.is_automated(&meta.login),
-                    types,
-                    n_stanzas: stanza_changes.len(),
-                });
-            }
-        }
-        prev_ix = Some(ix);
-    }
+    history.push_changes(device.id, metas, &dataset.directory, net_changes);
 
     // Month-end facts: the latest parseable snapshot at or before
-    // each month boundary. Facts are memoized per *distinct* config
-    // (canonical index) so a quiet device is only analyzed once.
+    // each month boundary. Facts are memoized per distinct text (its
+    // slot), so a quiet device is only analyzed once.
     let mut facts_cache: BTreeMap<usize, ConfigFacts> = BTreeMap::new();
     for (month, month_facts) in facts_by_month.iter_mut().enumerate() {
         let end = dataset.period.month_end(month);
         // partition_point over snapshot times (sorted per archive).
         let upto = metas.partition_point(|m| m.time < end);
-        let Some(ix) = (0..upto).rev().find(|&i| parsed_at(i).is_some()) else {
+        let Some(ix) = (0..upto).rev().find(|&i| history.at(i).is_some()) else {
             continue;
         };
         let facts = facts_cache
-            .entry(canon[ix])
-            .or_insert_with(|| extract_facts(parsed_at(ix).expect("parseable")));
+            .entry(history.slots[ix])
+            .or_insert_with(|| extract_facts(history.at(ix).expect("parseable")));
         month_facts.insert(device.id, facts.clone());
     }
 }
@@ -407,9 +353,10 @@ fn infer_device_full(
 /// deltas through `engine`, paying string-parse cost only for cache-novel
 /// segments. Emits exactly the records `infer_device_full` would
 /// (golden- and property-tested), including the parse-cache counter
-/// triple — state dedup is the same `(line ids, byte length)` keying the
-/// replay buffer uses, so `hits + misses == visited` holds identically
-/// in both modes.
+/// triple — within one archive, a state's `(line ids, byte length)` key
+/// identifies its text exactly, so the engine dedups the same states the
+/// oracle's full-text dedup does and `hits + misses == visited` holds
+/// with the same totals in both.
 fn infer_device_delta(
     dataset: &Dataset,
     device: &mpa_model::Device,

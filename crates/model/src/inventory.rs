@@ -11,7 +11,7 @@
 
 use crate::device::{Device, DeviceModel, Firmware, Role};
 use crate::ids::{DeviceId, NetworkId};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Reader, Serialize};
 use std::collections::BTreeMap;
 
 /// One inventory row: the durable attributes of a device.
@@ -46,11 +46,25 @@ impl InventoryRecord {
 }
 
 /// The organization-wide inventory database.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct Inventory {
     records: Vec<InventoryRecord>,
     #[serde(skip)]
     by_network: BTreeMap<NetworkId, Vec<usize>>,
+}
+
+/// Decoded through [`Inventory::new`], so the index (never on the wire) is
+/// built with the records.
+impl Deserialize for Inventory {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, serde::Error> {
+        // The derived reader of the wire fields, declared under this type's
+        // name so that its errors read the same.
+        #[derive(Deserialize)]
+        struct Inventory {
+            records: Vec<InventoryRecord>,
+        }
+        Inventory::deserialize(r).map(|wire| Self::new(wire.records))
+    }
 }
 
 impl Inventory {
@@ -61,8 +75,8 @@ impl Inventory {
         inv
     }
 
-    /// Rebuild the per-network index. Called automatically by [`Inventory::new`];
-    /// call it after deserializing, since the index is not serialized.
+    /// Rebuild the per-network index from the records. [`Inventory::new`]
+    /// and decoding already build it, so a further call changes nothing.
     pub fn rebuild_index(&mut self) {
         self.by_network.clear();
         for (i, r) in self.records.iter().enumerate() {
@@ -148,9 +162,9 @@ mod tests {
     fn index_survives_serde_round_trip() {
         let inv = Inventory::new(vec![rec(0, 3, Role::Router)]);
         let json = serde_json::to_string(&inv).unwrap();
-        let mut back: Inventory = serde_json::from_str(&json).unwrap();
-        back.rebuild_index();
+        let back: Inventory = serde_json::from_str(&json).unwrap();
         assert_eq!(back.network_records(NetworkId(3)).len(), 1);
+        assert_eq!(back, inv);
     }
 
     #[test]

@@ -63,20 +63,10 @@ pub static ARCHIVE_LINES_INTERNED: Counter = Counter::new("archive_lines_interne
 pub static ARCHIVE_LINE_HITS: Counter = Counter::new("archive_line_hits");
 /// Bytes of config text (line + newline) not stored thanks to interning.
 pub static ARCHIVE_BYTES_SAVED: Counter = Counter::new("archive_bytes_saved");
-/// Distinct snapshot states materialized by the dedup-before-materialize
-/// replay path (`device_distinct_texts`); duplicates (reverts to an
-/// earlier state) are detected on the interned line-id sequences and
-/// never rendered to text.
-pub static ARCHIVE_SNAPSHOTS_MATERIALIZED: Counter =
-    Counter::new("archive_snapshots_materialized");
-/// Bytes of snapshot text actually rendered by the replay path (distinct
-/// states only). Compare against `total_bytes` for the materialization
-/// saving.
-pub static ARCHIVE_BYTES_MATERIALIZED: Counter = Counter::new("archive_bytes_materialized");
 /// Line ids rewritten from shard-local to global ids. Only the pairwise
-/// [`SnapshotArchive::merge`] path (serve-session composition) still
-/// remaps individual delta-stream ids; the sharded `merge_all` uses
-/// offset-partitioned id allocation and rewrites nothing.
+/// `SnapshotArchive::merge` remaps individual delta-stream ids, and only
+/// tests call it; the sharded `merge_all` that generation uses allocates
+/// ids by offset and rewrites nothing, so production runs report 0.
 pub static ARCHIVE_MERGE_REMAPPED_LINES: Counter =
     Counter::new("archive_merge_remapped_lines");
 /// Successor cost metric of the sharded merge: interned lines appended to
@@ -133,8 +123,9 @@ pub static INFER_FULL_PARSES: Counter = Counter::new("infer_full_parses");
 /// already present in the per-network segment cache (novel text only).
 pub static INFER_STANZAS_REPARSED: Counter = Counter::new("infer_stanzas_reparsed");
 /// Bytes of stanza text the delta-native path actually read and parsed
-/// (novel segments only). Compare against `archive_bytes_materialized`
-/// under the full path for the cost-proportional-to-changed-bytes claim.
+/// (novel segments only). Compare against the archive's `total_bytes`
+/// (Table 2's `config_bytes`) for the cost-proportional-to-changed-bytes
+/// claim.
 pub static INFER_DELTA_BYTES: Counter = Counter::new("infer_delta_bytes");
 
 // --- parallel execution (incremented by mpa-exec) ------------------------
@@ -227,8 +218,6 @@ pub static ALL: &[&Counter] = &[
     &ARCHIVE_LINES_INTERNED,
     &ARCHIVE_LINE_HITS,
     &ARCHIVE_BYTES_SAVED,
-    &ARCHIVE_SNAPSHOTS_MATERIALIZED,
-    &ARCHIVE_BYTES_MATERIALIZED,
     &ARCHIVE_MERGE_REMAPPED_LINES,
     &ARCHIVE_MERGE_TABLE_LINES,
     &GEN_CHUNKS_RENDERED,

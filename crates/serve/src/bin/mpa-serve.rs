@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! mpa-serve --dataset dataset.json [--addr 127.0.0.1:7878] [--threads N]
-//!           [--queue-cap N] [--idle-secs N] [--delta MIN]
-//!           [--causal-top N] [--classes 2|5] [--obs-out run.json]
+//!           [--idle-secs N] [--delta MIN] [--causal-top N] [--classes 2|5]
+//!           [--obs-out run.json]
 //! ```
 //!
 //! The dataset is loaded and inferred once; queries are answered from the
@@ -13,7 +13,7 @@
 
 use mpa_core::predict::HealthClasses;
 use mpa_core::{AnalyticsSession, SessionConfig};
-use mpa_serve::{Server, ServerConfig};
+use mpa_serve::Server;
 use mpa_synth::Dataset;
 
 fn usage_and_exit() -> ! {
@@ -21,15 +21,15 @@ fn usage_and_exit() -> ! {
         "mpa-serve — resident Management Plane Analytics daemon\n\n\
          usage:\n\
            mpa-serve --dataset dataset.json [--addr HOST:PORT] [--threads N]\n\
-                     [--queue-cap N] [--idle-secs N] [--delta MIN]\n\
-                     [--causal-top N] [--classes 2|5] [--obs-out run.json]\n\n\
+                     [--idle-secs N] [--delta MIN] [--causal-top N]\n\
+                     [--classes 2|5] [--obs-out run.json]\n\n\
          endpoints: GET /healthz, /networks/:id/practices, /rankings/mi,\n\
          /causal/summary, /predict[?network=N&month=M]; POST /ingest, /shutdown"
     );
     std::process::exit(2);
 }
 
-/// Parse a numeric flag value or exit 2 (an invalid `--queue-cap abc`
+/// Parse a numeric flag value or exit 2 (an invalid `--idle-secs abc`
 /// must never silently fall back to a default — same contract as
 /// `mpa-cli`).
 fn parse_num<T: std::str::FromStr>(flag: &str, raw: &str) -> T {
@@ -43,7 +43,6 @@ struct Opts {
     dataset: String,
     addr: String,
     threads: Option<usize>,
-    queue_cap: usize,
     idle_secs: Option<u64>,
     delta: Option<u64>,
     causal_top: usize,
@@ -54,9 +53,8 @@ struct Opts {
 impl Opts {
     fn parse(args: &[String]) -> Opts {
         let mut dataset = None;
-        let mut addr = ServerConfig::default().addr;
+        let mut addr = "127.0.0.1:7878".to_string();
         let mut threads = None;
-        let mut queue_cap = ServerConfig::default().queue_cap;
         let mut idle_secs = None;
         let mut delta = None;
         let mut causal_top = SessionConfig::default().causal_top;
@@ -74,7 +72,6 @@ impl Opts {
                 "--dataset" => dataset = Some(value()),
                 "--addr" => addr = value(),
                 "--threads" => threads = Some(parse_num("--threads", &value())),
-                "--queue-cap" => queue_cap = parse_num("--queue-cap", &value()),
                 "--idle-secs" => idle_secs = Some(parse_num("--idle-secs", &value())),
                 "--delta" => delta = Some(parse_num("--delta", &value())),
                 "--causal-top" => causal_top = parse_num("--causal-top", &value()),
@@ -104,7 +101,6 @@ impl Opts {
             dataset,
             addr,
             threads,
-            queue_cap,
             idle_secs,
             delta,
             causal_top,
@@ -128,12 +124,11 @@ fn main() {
         eprintln!("cannot read {}: {e}", opts.dataset);
         std::process::exit(1);
     });
-    let mut dataset: Dataset = serde_json::from_str(&json).unwrap_or_else(|e| {
+    let dataset: Dataset = serde_json::from_str(&json).unwrap_or_else(|e| {
         eprintln!("{} is not a dataset JSON: {e}", opts.dataset);
         std::process::exit(1);
     });
     drop(json); // the daemon keeps the decoded dataset, not its text
-    dataset.inventory.rebuild_index(); // skipped field; see Inventory docs
 
     let session_config = SessionConfig {
         delta_minutes: opts.delta.unwrap_or(mpa_metrics::DELTA_DEFAULT_MINUTES),
@@ -149,12 +144,7 @@ fn main() {
         session.table().n_cases()
     );
 
-    let server_config = ServerConfig {
-        addr: opts.addr.clone(),
-        queue_cap: opts.queue_cap,
-        idle_secs: opts.idle_secs,
-    };
-    let server = Server::bind(session, &server_config).unwrap_or_else(|e| {
+    let server = Server::bind(session, &opts.addr).unwrap_or_else(|e| {
         eprintln!("cannot bind {}: {e}", opts.addr);
         std::process::exit(1);
     });
@@ -163,7 +153,7 @@ fn main() {
     // address means "ready".
     eprintln!("[mpa-serve] listening on {}", server.local_addr());
 
-    if let Err(e) = server.run(server_config.idle_secs) {
+    if let Err(e) = server.run(opts.idle_secs) {
         eprintln!("[mpa-serve] accept loop failed: {e}");
         std::process::exit(1);
     }

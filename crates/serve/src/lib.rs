@@ -28,4 +28,4 @@ pub mod http;
 pub mod server;
 pub mod views;
 
-pub use server::{Server, ServerConfig};
+pub use server::Server;

@@ -40,24 +40,8 @@ use std::time::{Duration, Instant};
 const READ_TIMEOUT: Duration = Duration::from_millis(250);
 /// Accept-loop poll interval when no connection is pending.
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
-
-/// Daemon configuration (the binary's flags).
-#[derive(Debug, Clone)]
-pub struct ServerConfig {
-    /// Bind address (`host:port`; port 0 picks an ephemeral port).
-    pub addr: String,
-    /// Ingest queue depth before submitters block.
-    pub queue_cap: usize,
-    /// Exit after this many seconds without a request (`None` = serve
-    /// until told to shut down).
-    pub idle_secs: Option<u64>,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        Self { addr: "127.0.0.1:7878".into(), queue_cap: 64, idle_secs: None }
-    }
-}
+/// Ingest batches that may wait in the queue before submitters block.
+const INGEST_QUEUE_CAP: usize = 64;
 
 struct IngestJob {
     batch: IngestBatch,
@@ -101,9 +85,10 @@ pub struct Server {
 
 impl Server {
     /// Build the daemon around an already-loaded session and bind the
-    /// listener. The session's analytics are refreshed here so every read
-    /// path finds the cache warm.
-    pub fn bind(mut session: AnalyticsSession, config: &ServerConfig) -> std::io::Result<Server> {
+    /// listener to `addr` (`host:port`; port 0 picks an ephemeral port).
+    /// The session's analytics are refreshed here so every read path finds
+    /// the cache warm.
+    pub fn bind(mut session: AnalyticsSession, addr: &str) -> std::io::Result<Server> {
         session.refresh();
         let shared = Arc::new(Shared {
             session: RwLock::new(session),
@@ -115,11 +100,11 @@ impl Server {
             latencies_us: Mutex::new(Vec::new()),
             ingest_tx: Mutex::new(None),
         });
-        let (tx, rx) = mpsc::sync_channel(config.queue_cap.max(1));
+        let (tx, rx) = mpsc::sync_channel(INGEST_QUEUE_CAP);
         *shared.ingest_tx.lock().unwrap_or_else(PoisonError::into_inner) = Some(tx);
         let worker_shared = Arc::clone(&shared);
         let ingest_worker = std::thread::spawn(move || ingest_worker(&worker_shared, &rx));
-        let listener = TcpListener::bind(&config.addr)?;
+        let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         Ok(Server { listener, local_addr, shared, ingest_worker })
     }
@@ -129,9 +114,9 @@ impl Server {
         self.local_addr
     }
 
-    /// Serve until shut down (POST `/shutdown` or the idle deadline),
-    /// then drain connections, close the ingest queue and record the
-    /// latency/queue gauges.
+    /// Serve until shut down (POST `/shutdown`, or `idle_secs` without a
+    /// request), then drain connections, close the ingest queue and record
+    /// the latency/queue gauges.
     pub fn run(self, idle_secs: Option<u64>) -> std::io::Result<()> {
         self.listener.set_nonblocking(true)?;
         let shared = &self.shared;

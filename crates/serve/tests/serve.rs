@@ -46,9 +46,7 @@ fn tiny_dataset_path() -> &'static PathBuf {
 
 fn tiny_dataset() -> Dataset {
     let text = std::fs::read_to_string(tiny_dataset_path()).expect("read tiny dataset");
-    let mut ds: Dataset = serde_json::from_str(&text).expect("parse tiny dataset");
-    ds.inventory.rebuild_index();
-    ds
+    serde_json::from_str(&text).expect("parse tiny dataset")
 }
 
 fn tiny_session() -> AnalyticsSession {

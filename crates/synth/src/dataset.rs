@@ -9,7 +9,7 @@
 
 use crate::degrade::DegradeStats;
 use crate::ops::MonthTruth;
-use mpa_config::{Archive, UserDirectory};
+use mpa_config::{SnapshotArchive, UserDirectory};
 use mpa_model::{Inventory, Network, NetworkId, StudyPeriod, Ticket};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -27,7 +27,7 @@ pub struct Dataset {
     /// The inventory database (flat view of the device fleet).
     pub inventory: Inventory,
     /// The configuration snapshot archive.
-    pub archive: Archive,
+    pub archive: SnapshotArchive,
     /// The trouble-ticket log (incidents and maintenance interleaved).
     pub tickets: Vec<Ticket>,
     /// The user directory classifying automation accounts.

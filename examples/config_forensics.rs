@@ -12,7 +12,7 @@
 
 use mpa::config::semantic::{AclRule, DeviceConfig};
 use mpa::config::snapshot::{Login, Snapshot, SnapshotMeta, UserDirectory};
-use mpa::config::{parse_config, render_config, Archive};
+use mpa::config::{parse_config, render_config, SnapshotArchive};
 use mpa::metrics::{group_events, replay_device_changes};
 use mpa::model::device::Dialect;
 use mpa::model::{DeviceId, Timestamp};
@@ -30,7 +30,7 @@ fn snapshot(dev: u32, minute: u64, login: &str, cfg: &DeviceConfig) -> Snapshot 
 
 fn main() {
     let directory = UserDirectory::new(["svc-netauto".to_string()]);
-    let mut archive = Archive::new();
+    let mut archive = SnapshotArchive::new();
 
     // Two devices, one per dialect, starting from the same semantic state.
     let mut cisco_like = DeviceConfig::new("net0-sw-dev0", Dialect::BlockKeyword);

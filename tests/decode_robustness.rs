@@ -4,7 +4,8 @@
 //! one, and decodes the result with `serde_json::from_str`. The replacement
 //! bytes are JSON punctuation, digits and literal letters, so the damage
 //! steers the decoder into its error paths rather than into string bodies
-//! only.
+//! only. A dataset whose line ids run past its archive's line table must
+//! fail to decode, since inference would index the table with them.
 
 use mpa::analytics::IngestBatch;
 use mpa::prelude::*;
@@ -51,6 +52,21 @@ fn check(text: &str, kind: u8, at: usize, byte: usize, decodes: fn(&str) -> bool
         let decoded = decodes(&damaged);
         assert!(kind != 0 || !decoded, "a cut copy decoded");
     }
+}
+
+/// The first stored line id, replaced by one past the table, is a decode
+/// error at a byte offset after the damage.
+#[test]
+fn line_ids_past_the_table_fail_to_decode() {
+    let text = &corpus().0;
+    let at = text.find("\"base\":[").expect("an archived history") + "\"base\":[".len();
+    let end = at + text[at..].find([',', ']']).expect("a closed id list");
+    let damaged = format!("{}4000000000{}", &text[..at], &text[end..]);
+    let Err(err) = serde_json::from_str::<Dataset>(&damaged) else {
+        panic!("an id past the table decoded");
+    };
+    assert!(err.to_string().contains("past the"), "{err}");
+    assert!(err.offset() > at && err.offset() <= damaged.len(), "{err}");
 }
 
 proptest! {
