@@ -3,7 +3,7 @@
 //! matching, and tree induction. These are the inner loops every experiment
 //! pipeline amortizes; tracking them separately localizes regressions.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use mpa_bench::fixtures;
 use mpa_config::semantic::{AclRule, DeviceConfig};
 use mpa_config::{diff_configs, parse_config, render_config};
@@ -77,18 +77,10 @@ fn bench_analytics(c: &mut Criterion) {
     });
     let set = build_learnset(table, HealthClasses::Five);
     g.bench_function("c45_fit", |b| {
-        b.iter_batched(
-            || set.clone(),
-            |s| mpa_learn::DecisionTree::fit_default(&s),
-            BatchSize::SmallInput,
-        )
+        b.iter(|| mpa_learn::DecisionTree::fit_default(&set.view()))
     });
     g.bench_function("adaboost_fit", |b| {
-        b.iter_batched(
-            || set.clone(),
-            |s| mpa_learn::AdaBoost::fit_default(&s),
-            BatchSize::SmallInput,
-        )
+        b.iter(|| mpa_learn::AdaBoost::fit_default(&set.view()))
     });
     g.finish();
 }

@@ -15,13 +15,14 @@
 
 use mpa_learn::boost::BoostConfig;
 use mpa_learn::forest::ForestConfig;
-use mpa_learn::sampling::{oversample_2class, oversample_5class};
+use mpa_learn::sampling::oversample;
 use mpa_learn::svm::SvmConfig;
 use mpa_learn::{
     cross_validate, evaluate, AdaBoost, Classifier, DecisionTree, Evaluation, ForestVariant,
-    Instance, LearnSet, LinearSvm, MajorityClassifier, RandomForest,
+    Instance, LearnSet, LinearSvm, MajorityClassifier, RandomForest, View,
 };
-use mpa_metrics::{CaseTable, Metric};
+use mpa_metrics::catalog::N_METRICS;
+use mpa_metrics::{Case, CaseTable, Metric};
 use mpa_stats::Binner;
 use serde::{Deserialize, Serialize};
 
@@ -57,6 +58,17 @@ impl HealthClasses {
                 9..=11 => 3,
                 _ => 4,
             },
+        }
+    }
+
+    /// The paper's oversampling rule (§6.1), copies per class: "When
+    /// building a 2-class model we replicate samples from the unhealthy
+    /// class twice, and when building a 5-class model we replicate samples
+    /// from the poor class twice and the moderate and good classes thrice."
+    pub fn oversampling(self) -> &'static [usize] {
+        match self {
+            HealthClasses::Two => &[1, 2],
+            HealthClasses::Five => &[1, 3, 3, 2, 1],
         }
     }
 
@@ -125,23 +137,26 @@ impl FeatureEncoder {
         Self { binners, classes }
     }
 
+    /// One case's binned feature row and its health class.
+    pub fn row(&self, case: &Case) -> ([u8; N_METRICS], u8) {
+        let mut row = [0u8; N_METRICS];
+        for ((slot, &v), b) in row.iter_mut().zip(&case.values).zip(&self.binners) {
+            *slot = b.bin(v) as u8;
+        }
+        (row, self.classes.label(case.tickets))
+    }
+
     /// Encode a table into a learn set using these binners.
     pub fn encode(&self, table: &CaseTable) -> LearnSet {
         let instances = table
             .cases()
             .iter()
-            .map(|c| Instance {
-                features: c
-                    .values
-                    .iter()
-                    .zip(&self.binners)
-                    .map(|(&v, b)| b.bin(v) as u8)
-                    .collect(),
-                label: self.classes.label(c.tickets),
-                weight: 1.0,
+            .map(|c| {
+                let (row, label) = self.row(c);
+                Instance { features: row.to_vec(), label, weight: 1.0 }
             })
             .collect();
-        LearnSet::new(instances, vec![LEARN_BINS as u8; Metric::ALL.len()], self.classes.n())
+        LearnSet::new(instances, vec![LEARN_BINS as u8; N_METRICS], self.classes.n())
     }
 }
 
@@ -176,22 +191,19 @@ impl Classifier for TrainedModel {
     }
 }
 
-/// Apply the paper's oversampling rule for the class granularity.
-fn maybe_oversample(set: &LearnSet, kind: ModelKind, classes: HealthClasses) -> LearnSet {
+/// Train one model on a (training) view. DT+OS and DT+AB+OS first apply
+/// the paper's oversampling rule for the class granularity.
+pub fn train(kind: ModelKind, view: &View, classes: HealthClasses) -> TrainedModel {
+    let oversampled;
+    let view = match kind {
+        ModelKind::DtOs | ModelKind::DtAbOs => {
+            oversampled = oversample(view, classes.oversampling());
+            &oversampled
+        }
+        _ => view,
+    };
     match kind {
-        ModelKind::DtOs | ModelKind::DtAbOs => match classes {
-            HealthClasses::Two => oversample_2class(set),
-            HealthClasses::Five => oversample_5class(set),
-        },
-        _ => set.clone(),
-    }
-}
-
-/// Train one model on a (training) learn set.
-pub fn train(kind: ModelKind, set: &LearnSet, classes: HealthClasses) -> TrainedModel {
-    let set = maybe_oversample(set, kind, classes);
-    match kind {
-        ModelKind::Dt | ModelKind::DtOs => TrainedModel::Tree(DecisionTree::fit_default(&set)),
+        ModelKind::Dt | ModelKind::DtOs => TrainedModel::Tree(DecisionTree::fit_default(view)),
         ModelKind::DtAb | ModelKind::DtAbOs => {
             // SAMME ensemble vote. The paper describes building the final
             // tree from the last iteration's weights; with a base learner as
@@ -202,17 +214,17 @@ pub fn train(kind: ModelKind, set: &LearnSet, classes: HealthClasses) -> Trained
             // as a modest improvement. `BoostMode::LastTree` remains
             // available in `mpa-learn` for the literal variant.
             TrainedModel::Boost(AdaBoost::fit(
-                &set,
+                view,
                 BoostConfig { mode: mpa_learn::BoostMode::Ensemble, ..BoostConfig::default() },
             ))
         }
-        ModelKind::Majority => TrainedModel::Majority(MajorityClassifier::fit(&set)),
+        ModelKind::Majority => TrainedModel::Majority(MajorityClassifier::fit(view)),
         ModelKind::Svm => TrainedModel::Svm(LinearSvm::fit(
-            &set,
+            view,
             SvmConfig { iterations: 30_000, ..SvmConfig::default() },
         )),
         ModelKind::Forest(variant) => {
-            TrainedModel::Forest(RandomForest::fit(&set, ForestConfig { variant, ..ForestConfig::default() }))
+            TrainedModel::Forest(RandomForest::fit(view, ForestConfig { variant, ..ForestConfig::default() }))
         }
     }
 }
@@ -254,8 +266,8 @@ pub fn online_accuracy(
         let encoder = FeatureEncoder::fit(&train_table, classes);
         let train_set = encoder.encode(&train_table);
         let test_set = encoder.encode(&test_table);
-        let model = train(kind, &train_set, classes);
-        let ev = evaluate(&model, &test_set);
+        let model = train(kind, &train_set.view(), classes);
+        let ev = evaluate(&model, &test_set.view());
         accuracies.push(ev.accuracy());
         merged.merge(&ev);
     }
@@ -278,6 +290,8 @@ pub fn class_distribution(table: &CaseTable, classes: HealthClasses) -> Vec<usiz
 }
 
 /// Train a tree (per the model kind) and render its top levels (Figure 10).
+/// For a boosted kind this is the SAMME ensemble's last-round tree, one
+/// voter of the model that predicts.
 pub fn render_tree(
     table: &CaseTable,
     classes: HealthClasses,
@@ -286,7 +300,7 @@ pub fn render_tree(
 ) -> String {
     let set = build_learnset(table, classes);
     let names: Vec<&str> = Metric::ALL.iter().map(|m| m.name()).collect();
-    match train(kind, &set, classes) {
+    match train(kind, &set.view(), classes) {
         TrainedModel::Tree(t) => t.render(depth, &names, classes.names()),
         TrainedModel::Boost(b) => b.final_tree().render(depth, &names, classes.names()),
         _ => "(model kind has no tree to render)".to_string(),
@@ -296,8 +310,6 @@ pub fn render_tree(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpa_metrics::catalog::N_METRICS;
-    use mpa_metrics::Case;
     use mpa_model::NetworkId;
     use mpa_stats::Sampler;
     use rand::rngs::StdRng;
@@ -387,6 +399,23 @@ mod tests {
     }
 
     #[test]
+    fn oversampling_rule_matches_the_paper() {
+        assert_eq!(HealthClasses::Two.oversampling(), &[1, 2]);
+        assert_eq!(HealthClasses::Five.oversampling(), &[1, 3, 3, 2, 1]);
+        let table = learnable_table(1_000, 28);
+        for classes in [HealthClasses::Two, HealthClasses::Five] {
+            let set = build_learnset(&table, classes);
+            let over = oversample(&set.view(), classes.oversampling());
+            let want: Vec<f64> = class_distribution(&table, classes)
+                .iter()
+                .zip(classes.oversampling())
+                .map(|(&n, &f)| (n * f) as f64)
+                .collect();
+            assert_eq!(over.class_weights(), want, "{classes:?}");
+        }
+    }
+
+    #[test]
     fn class_distribution_sums_to_cases() {
         let table = learnable_table(1_000, 25);
         for classes in [HealthClasses::Two, HealthClasses::Five] {
@@ -422,8 +451,8 @@ mod tests {
             ModelKind::Forest(ForestVariant::Balanced),
             ModelKind::Forest(ForestVariant::Weighted),
         ] {
-            let model = train(kind, &set, HealthClasses::Two);
-            let ev = evaluate(&model, &set);
+            let model = train(kind, &set.view(), HealthClasses::Two);
+            let ev = evaluate(&model, &set.view());
             assert!(ev.accuracy() > 0.4, "{}: accuracy {}", kind.label(), ev.accuracy());
         }
     }

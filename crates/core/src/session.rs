@@ -278,7 +278,7 @@ impl AnalyticsSession {
             .map(|(e, analysis)| CausalRow { metric: e.metric, analysis })
             .collect();
         let encoder = FeatureEncoder::fit(&self.table, cfg.classes);
-        let model = train(ModelKind::Dt, &encoder.encode(&self.table), cfg.classes);
+        let model = train(ModelKind::Dt, &encoder.encode(&self.table).view(), cfg.classes);
         let distribution = class_distribution(&self.table, cfg.classes);
         self.analytics =
             Some(Analytics { mi, causal, causal_config, encoder, model, distribution });
@@ -293,16 +293,14 @@ impl AnalyticsSession {
             .network_cases(network)?
             .iter()
             .find(|c| c.month == month)?;
-        let single = CaseTable::new(vec![case.clone()]);
-        let set = analytics.encoder.encode(&single);
-        let inst = set.instances().first()?;
-        let predicted = analytics.model.predict(&inst.features);
+        let (row, actual) = analytics.encoder.row(case);
+        let predicted = analytics.model.predict(&row);
         let names = self.config.classes.names();
         Some(CasePrediction {
             predicted,
             predicted_name: names[predicted as usize],
-            actual: inst.label,
-            actual_name: names[inst.label as usize],
+            actual,
+            actual_name: names[actual as usize],
         })
     }
 

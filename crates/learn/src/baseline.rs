@@ -2,7 +2,7 @@
 //! for 2-class health, with "no precision or recall for the unhealthy
 //! class").
 
-use crate::data::{Classifier, LearnSet};
+use crate::data::{Classifier, View};
 use serde::{Deserialize, Serialize};
 
 /// Predicts the training set's (weighted) majority class for every input.
@@ -15,17 +15,12 @@ impl MajorityClassifier {
     /// Fit: record the weighted majority class.
     ///
     /// # Panics
-    /// Panics on an empty dataset.
-    pub fn fit(set: &LearnSet) -> Self {
-        assert!(!set.is_empty(), "cannot fit on an empty dataset");
-        let w = set.class_weights();
-        let label = w
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .expect("non-empty")
-            .0 as u8;
-        Self { label }
+    /// Panics on an empty view.
+    pub fn fit(view: &View) -> Self {
+        assert!(!view.rows.is_empty(), "cannot fit on an empty dataset");
+        let w = view.class_weights();
+        let best = w.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1));
+        Self { label: best.expect("non-empty").0 as u8 }
     }
 
     /// The majority label.
@@ -43,7 +38,7 @@ impl Classifier for MajorityClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::data::Instance;
+    use crate::data::{Instance, LearnSet};
 
     #[test]
     fn predicts_the_weighted_majority() {
@@ -56,7 +51,7 @@ mod tests {
             vec![3],
             2,
         );
-        let m = MajorityClassifier::fit(&set);
+        let m = MajorityClassifier::fit(&set.view());
         assert_eq!(m.label(), 1, "weight beats count");
         assert_eq!(m.predict(&[0]), 1);
         assert_eq!(m.predict(&[2]), 1);

@@ -8,9 +8,10 @@
 //! The paper's variant therefore returns a *single* tree trained on the
 //! final weights ([`BoostMode::LastTree`]); the conventional weighted
 //! ensemble vote is also provided ([`BoostMode::Ensemble`]) since it is the
-//! textbook SAMME formulation.
+//! textbook SAMME formulation. The prediction pipeline trains the ensemble;
+//! the last-tree variant serves the `ablation_boostmode` experiment.
 
-use crate::data::{Classifier, LearnSet};
+use crate::data::{Classifier, View};
 use crate::tree::{DecisionTree, TreeConfig};
 use serde::{Deserialize, Serialize};
 
@@ -51,30 +52,28 @@ pub struct AdaBoost {
 }
 
 impl AdaBoost {
-    /// Train with the given configuration.
-    pub fn fit(set: &LearnSet, config: BoostConfig) -> Self {
-        assert!(!set.is_empty(), "cannot boost an empty dataset");
+    /// Train with the given configuration. Each round reweights one view of
+    /// the training positions in place; no row is copied.
+    pub fn fit(view: &View, config: BoostConfig) -> Self {
+        assert!(!view.rows.is_empty(), "cannot boost an empty dataset");
         assert!(config.iterations >= 1, "need at least one iteration");
+        let set = view.set;
         let k = f64::from(set.n_classes());
-        let n = set.len();
+        let n = view.rows.len();
 
-        let mut work = set.clone();
-        let mut weights = vec![1.0 / n as f64; n];
+        let mut work = View::new(set, view.rows.clone(), vec![1.0 / n as f64; n]);
         let mut members: Vec<(DecisionTree, f64)> = Vec::new();
 
         for _ in 0..config.iterations {
             mpa_obs::counters::BOOST_ROUNDS.incr();
-            work.set_weights(&weights);
             let tree = DecisionTree::fit(&work, config.tree);
-            let preds = tree.predict_all(&work);
-            let err: f64 = work
-                .instances()
-                .iter()
-                .zip(&preds)
-                .filter(|(inst, &p)| inst.label != p)
-                .map(|(inst, _)| inst.weight)
-                .sum::<f64>()
-                / work.total_weight();
+            // Misclassified positions, predicted in chunks across the
+            // worker threads; outputs stay in position order.
+            let wrong: Vec<bool> = mpa_exec::par_chunk_map(&work.rows, 512, |chunk| {
+                chunk.iter().map(|&r| tree.predict(set.row(r)) != set.labels[r]).collect()
+            });
+            let missed = work.weights.iter().zip(&wrong).filter(|(_, &x)| x).map(|(&w, _)| w);
+            let err = missed.sum::<f64>() / work.total_weight();
 
             // SAMME requires err < 1 − 1/K; a perfect learner ends boosting.
             if err <= 1e-12 {
@@ -94,40 +93,32 @@ impl AdaBoost {
             let alpha = ((1.0 - err) / err).ln() + (k - 1.0).ln();
 
             // Reweight and renormalize.
-            for ((w, inst), &p) in weights.iter_mut().zip(work.instances()).zip(&preds) {
-                if inst.label != p {
-                    *w *= alpha.exp();
-                }
+            for (w, _) in work.weights.iter_mut().zip(&wrong).filter(|(_, &x)| x) {
+                *w *= alpha.exp();
             }
-            let total: f64 = weights.iter().sum();
-            for w in &mut weights {
+            let total: f64 = work.weights.iter().sum();
+            for w in &mut work.weights {
                 *w /= total;
-                // Floor: LearnSet requires strictly positive weights.
+                // Floor: view weights must stay strictly positive.
                 *w = w.max(1e-300);
             }
             members.push((tree, alpha));
         }
 
+        let n_classes = set.n_classes();
         match config.mode {
-            BoostMode::Ensemble => {
-                Self { mode: BoostMode::Ensemble, n_classes: set.n_classes(), members }
-            }
+            BoostMode::Ensemble => Self { mode: BoostMode::Ensemble, n_classes, members },
             BoostMode::LastTree => {
                 // Train the final tree on the last iteration's weights.
-                work.set_weights(&weights);
                 let final_tree = DecisionTree::fit(&work, config.tree);
-                Self {
-                    mode: BoostMode::LastTree,
-                    n_classes: set.n_classes(),
-                    members: vec![(final_tree, 1.0)],
-                }
+                Self { mode: BoostMode::LastTree, n_classes, members: vec![(final_tree, 1.0)] }
             }
         }
     }
 
     /// Train with the default configuration (15 iterations, LastTree mode).
-    pub fn fit_default(set: &LearnSet) -> Self {
-        Self::fit(set, BoostConfig::default())
+    pub fn fit_default(view: &View) -> Self {
+        Self::fit(view, BoostConfig::default())
     }
 
     /// Number of member trees (1 in LastTree mode).
@@ -140,8 +131,8 @@ impl AdaBoost {
         self.mode
     }
 
-    /// Access the final/only tree (useful for rendering Figure 10 from a
-    /// boosted model).
+    /// The final tree: in LastTree mode the only one, in Ensemble mode the
+    /// last round's tree (one voter of many). Figure 10(a) renders it.
     pub fn final_tree(&self) -> &DecisionTree {
         &self.members.last().expect("at least one member").0
     }
@@ -171,7 +162,7 @@ impl Classifier for AdaBoost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::data::Instance;
+    use crate::data::{Instance, LearnSet};
     use crate::eval::evaluate;
 
     /// An imbalanced set where the minority class is the *local minority* of
@@ -207,8 +198,8 @@ mod tests {
     fn boosting_recovers_a_pruned_away_minority() {
         let set = skewed();
         let cfg_tree = TreeConfig { alpha_fraction: 0.01, max_depth: 10 };
-        let plain = DecisionTree::fit(&set, cfg_tree);
-        let plain_eval = evaluate(&plain, &set);
+        let plain = DecisionTree::fit(&set.view(), cfg_tree);
+        let plain_eval = evaluate(&plain, &set.view());
         assert_eq!(
             plain_eval.recall(1),
             0.0,
@@ -218,10 +209,10 @@ mod tests {
         // Boosting upweights the 8 misclassified instances each round until
         // the pocket's *weighted* majority flips in the final tree.
         let boosted = AdaBoost::fit(
-            &set,
+            &set.view(),
             BoostConfig { iterations: 15, mode: BoostMode::LastTree, tree: cfg_tree },
         );
-        let eval = evaluate(&boosted, &set);
+        let eval = evaluate(&boosted, &set.view());
         assert!(eval.recall(1) > 0.9, "boosted recall {}", eval.recall(1));
     }
 
@@ -229,7 +220,7 @@ mod tests {
     fn ensemble_mode_votes() {
         let set = skewed();
         let model = AdaBoost::fit(
-            &set,
+            &set.view(),
             BoostConfig {
                 iterations: 10,
                 mode: BoostMode::Ensemble,
@@ -237,7 +228,7 @@ mod tests {
             },
         );
         assert!(model.n_members() >= 1);
-        let eval = evaluate(&model, &set);
+        let eval = evaluate(&model, &set.view());
         assert!(eval.accuracy() > 0.9, "accuracy {}", eval.accuracy());
     }
 
@@ -249,7 +240,7 @@ mod tests {
             .collect();
         let set = LearnSet::new(instances, vec![2], 2);
         let model = AdaBoost::fit(
-            &set,
+            &set.view(),
             BoostConfig {
                 iterations: 15,
                 mode: BoostMode::Ensemble,
@@ -257,7 +248,7 @@ mod tests {
             },
         );
         assert_eq!(model.n_members(), 1);
-        assert_eq!(evaluate(&model, &set).accuracy(), 1.0);
+        assert_eq!(evaluate(&model, &set.view()).accuracy(), 1.0);
     }
 
     #[test]
@@ -271,8 +262,8 @@ mod tests {
             })
             .collect();
         let set = LearnSet::new(instances, vec![5], 3);
-        let model = AdaBoost::fit_default(&set);
-        assert_eq!(evaluate(&model, &set).accuracy(), 1.0);
+        let model = AdaBoost::fit_default(&set.view());
+        assert_eq!(evaluate(&model, &set.view()).accuracy(), 1.0);
         assert_eq!(model.mode(), BoostMode::LastTree);
         assert_eq!(model.n_members(), 1);
     }

@@ -1,7 +1,7 @@
 //! Model evaluation: accuracy, per-class precision/recall, confusion
 //! matrices and seeded k-fold cross-validation (§6.1 uses 5-fold CV).
 
-use crate::data::{Classifier, LearnSet};
+use crate::data::{Classifier, LearnSet, View};
 use mpa_stats::Sampler;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,11 +42,8 @@ impl Evaluation {
 
     /// Overall accuracy; 0.0 when nothing was evaluated.
     pub fn accuracy(&self) -> f64 {
-        if self.n == 0 {
-            return 0.0;
-        }
         let correct: usize = (0..self.confusion.len()).map(|i| self.confusion[i][i]).sum();
-        correct as f64 / self.n as f64
+        ratio(correct, self.n)
     }
 
     /// Precision of class `c`: TP / (TP + FP). 0.0 when the class is never
@@ -54,44 +51,36 @@ impl Evaluation {
     /// class" description of the majority baseline).
     pub fn precision(&self, c: u8) -> f64 {
         let c = usize::from(c);
-        let tp = self.confusion[c][c];
-        let predicted: usize = self.confusion.iter().map(|row| row[c]).sum();
-        if predicted == 0 {
-            0.0
-        } else {
-            tp as f64 / predicted as f64
-        }
+        ratio(self.confusion[c][c], self.confusion.iter().map(|row| row[c]).sum())
     }
 
     /// Recall of class `c`: TP / (TP + FN). 0.0 when the class never occurs.
     pub fn recall(&self, c: u8) -> f64 {
         let c = usize::from(c);
-        let tp = self.confusion[c][c];
-        let actual: usize = self.confusion[c].iter().sum();
-        if actual == 0 {
-            0.0
-        } else {
-            tp as f64 / actual as f64
-        }
-    }
-
-    /// Number of classes.
-    pub fn n_classes(&self) -> u8 {
-        self.confusion.len() as u8
+        ratio(self.confusion[c][c], self.confusion[c].iter().sum())
     }
 }
 
-/// Evaluate a trained classifier on a labelled set.
-pub fn evaluate<C: Classifier>(model: &C, set: &LearnSet) -> Evaluation {
-    let mut ev = Evaluation::new(set.n_classes());
-    for inst in set.instances() {
-        ev.record(inst.label, model.predict(&inst.features));
+/// `num / den`, or 0.0 for an empty denominator.
+fn ratio(num: usize, den: usize) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
+    }
+}
+
+/// Evaluate a trained classifier on every position of a view.
+pub fn evaluate<C: Classifier>(model: &C, view: &View) -> Evaluation {
+    let mut ev = Evaluation::new(view.set.n_classes());
+    for (&r, label) in view.rows.iter().zip(view.labels()) {
+        ev.record(label, model.predict(view.set.row(r)));
     }
     ev
 }
 
 /// Seeded k-fold cross-validation. `train` receives each fold's training
-/// subset and returns a fitted classifier; results are merged across folds.
+/// view and returns a fitted classifier; results are merged across folds.
 ///
 /// Folds are trained and evaluated in parallel (they share nothing but the
 /// read-only set and the up-front shuffle), then merged in fold order, so
@@ -102,7 +91,7 @@ pub fn evaluate<C: Classifier>(model: &C, set: &LearnSet) -> Evaluation {
 pub fn cross_validate<C, F>(set: &LearnSet, k: usize, seed: u64, train: F) -> Evaluation
 where
     C: Classifier,
-    F: Fn(&LearnSet) -> C + Sync,
+    F: Fn(&View) -> C + Sync,
 {
     assert!(k >= 2, "need at least 2 folds");
     assert!(set.len() >= k, "fewer instances than folds");
@@ -113,14 +102,11 @@ where
 
     let folds: Vec<usize> = (0..k).collect();
     let fold_evals = mpa_exec::par_map(&folds, |_, &fold| {
-        let test_ix: Vec<usize> =
-            order.iter().copied().skip(fold).step_by(k).collect();
+        let test_ix: Vec<usize> = order.iter().copied().skip(fold).step_by(k).collect();
         let test_set: std::collections::BTreeSet<usize> = test_ix.iter().copied().collect();
-        let train_ix: Vec<usize> =
-            (0..set.len()).filter(|i| !test_set.contains(i)).collect();
-        let model = train(&set.subset(&train_ix));
-        let test = set.subset(&test_ix);
-        evaluate(&model, &test)
+        let train_ix = (0..set.len()).filter(|i| !test_set.contains(i)).collect();
+        let model = train(&set.view_of(train_ix));
+        evaluate(&model, &set.view_of(test_ix))
     });
 
     let mut result = Evaluation::new(set.n_classes());

@@ -7,14 +7,14 @@
 //! comparison, so all three variants are implemented:
 //!
 //! * [`ForestVariant::Plain`] — bootstrap sample per tree, random feature
-//!   subset (√p) considered at tree level.
+//!   subset (⌈√p⌉) considered at tree level.
 //! * [`ForestVariant::Balanced`] — per-tree training set is a balanced
 //!   bootstrap: an equal number of samples drawn (with replacement) from
 //!   each class.
 //! * [`ForestVariant::Weighted`] — classes are weighted inversely to their
 //!   frequency, so minority errors cost more during tree induction.
 
-use crate::data::{Classifier, Instance, LearnSet};
+use crate::data::{Classifier, View};
 use crate::tree::{DecisionTree, TreeConfig};
 use mpa_stats::Sampler;
 use rand::rngs::StdRng;
@@ -39,7 +39,7 @@ pub struct ForestConfig {
     pub n_trees: usize,
     /// Variant.
     pub variant: ForestVariant,
-    /// RNG seed for bootstraps and feature masking.
+    /// RNG seed for bootstraps and feature subsets.
     pub seed: u64,
     /// Per-tree configuration (forests typically grow deep, lightly pruned
     /// trees, so the default α here is much smaller than a lone tree's).
@@ -60,32 +60,38 @@ impl Default for ForestConfig {
 /// A trained random forest.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RandomForest {
-    trees: Vec<(DecisionTree, Vec<usize>)>,
+    trees: Vec<DecisionTree>,
     n_classes: u8,
 }
 
 impl RandomForest {
-    /// Train a forest.
+    /// Train a forest. Each tree trains on a bootstrap view of `view`'s
+    /// positions and considers only its ⌈√p⌉ randomly drawn features.
     ///
     /// # Panics
-    /// Panics on an empty dataset or zero trees.
-    pub fn fit(set: &LearnSet, config: ForestConfig) -> Self {
-        assert!(!set.is_empty(), "cannot train a forest on an empty dataset");
+    /// Panics on an empty view or zero trees.
+    pub fn fit(view: &View, config: ForestConfig) -> Self {
+        assert!(!view.rows.is_empty(), "cannot train a forest on an empty dataset");
         assert!(config.n_trees >= 1, "need at least one tree");
-        let n = set.len();
+        let set = view.set;
+        let n = view.rows.len();
         let p = set.n_features();
         let subset_size = (p as f64).sqrt().ceil() as usize;
 
-        // Per-class index pools (for balanced bootstraps) and inverse
-        // frequency weights (for the weighted variant).
+        // Per-class position pools (for balanced bootstraps) and class
+        // weights: inverse frequency for the weighted variant, else 1.
         let mut by_class: Vec<Vec<usize>> = vec![Vec::new(); usize::from(set.n_classes())];
-        for (i, inst) in set.instances().iter().enumerate() {
-            // mpa-lint: allow(R7) -- instance labels are < n_classes, the by_class vec's length
-            by_class[usize::from(inst.label)].push(i);
+        for (pos, label) in view.labels().enumerate() {
+            if let Some(pool) = by_class.get_mut(usize::from(label)) {
+                pool.push(pos);
+            }
         }
         let class_weight: Vec<f64> = by_class
             .iter()
-            .map(|pool| if pool.is_empty() { 0.0 } else { n as f64 / pool.len() as f64 })
+            .map(|pool| match config.variant {
+                ForestVariant::Weighted if !pool.is_empty() => n as f64 / pool.len() as f64,
+                _ => 1.0,
+            })
             .collect();
 
         // Each tree draws from its own RNG stream keyed by (forest seed,
@@ -96,7 +102,7 @@ impl RandomForest {
             let mut rng = StdRng::seed_from_u64(mpa_exec::stream_seed(config.seed, tree_ix));
             let mut s = Sampler::new(&mut rng);
             // Bootstrap.
-            let sample_ix: Vec<usize> = match config.variant {
+            let sample: Vec<usize> = match config.variant {
                 ForestVariant::Plain | ForestVariant::Weighted => {
                     (0..n).map(|_| s.uniform_range(0, n as u64 - 1) as usize).collect()
                 }
@@ -117,45 +123,21 @@ impl RandomForest {
                 }
             };
 
-            // Random feature subset: non-selected features are masked to a
-            // constant so the tree cannot split on them.
-            let feature_ix = s.sample_indices(p, subset_size.clamp(1, p));
-            let mask: Vec<bool> = {
-                let mut m = vec![false; p];
-                for &f in &feature_ix {
-                    m[f] = true;
-                }
-                m
-            };
-            let instances: Vec<Instance> = sample_ix
-                .iter()
-                .map(|&i| {
-                    let src = &set.instances()[i];
-                    Instance {
-                        features: src
-                            .features
-                            .iter()
-                            .enumerate()
-                            .map(|(j, &v)| if mask[j] { v } else { 0 })
-                            .collect(),
-                        label: src.label,
-                        weight: match config.variant {
-                            // mpa-lint: allow(R7) -- instance labels are < n_classes, the class_weight vec's length
-                            ForestVariant::Weighted => class_weight[usize::from(src.label)],
-                            _ => 1.0,
-                        },
-                    }
-                })
-                .collect();
-            let boot = set.with_instances(instances);
-            (DecisionTree::fit(&boot, config.tree), feature_ix)
+            // Random feature subset, sorted so the tree scans candidates in
+            // the order it would scan all features.
+            let mut candidates = s.sample_indices(p, subset_size.clamp(1, p));
+            candidates.sort_unstable();
+            let rows: Vec<usize> = sample.iter().map(|&pos| view.rows[pos]).collect();
+            let weight_of = |r: usize| class_weight.get(usize::from(set.labels[r])).copied();
+            let weights = rows.iter().map(|&r| weight_of(r).unwrap_or(1.0)).collect();
+            DecisionTree::fit_on(&View::new(set, rows, weights), &candidates, config.tree)
         });
         Self { trees, n_classes: set.n_classes() }
     }
 
     /// Train with defaults.
-    pub fn fit_default(set: &LearnSet) -> Self {
-        Self::fit(set, ForestConfig::default())
+    pub fn fit_default(view: &View) -> Self {
+        Self::fit(view, ForestConfig::default())
     }
 
     /// Number of trees.
@@ -166,15 +148,13 @@ impl RandomForest {
 
 impl Classifier for RandomForest {
     fn predict(&self, features: &[u8]) -> u8 {
+        // Each tree splits only on its own candidate features, so it reads
+        // nothing else of the row.
         let mut votes = vec![0usize; usize::from(self.n_classes)];
-        for (tree, feature_ix) in &self.trees {
-            // Re-apply the tree's feature mask.
-            let mut masked = vec![0u8; features.len()];
-            for &f in feature_ix {
-                masked[f] = features[f];
+        for tree in &self.trees {
+            if let Some(v) = votes.get_mut(usize::from(tree.predict(features))) {
+                *v += 1;
             }
-            // mpa-lint: allow(R7) -- trees emit labels < n_classes, the votes vec's length
-            votes[usize::from(tree.predict(&masked))] += 1;
         }
         votes.iter().enumerate().max_by_key(|(_, &v)| v).expect("non-empty").0 as u8
     }
@@ -183,6 +163,7 @@ impl Classifier for RandomForest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::data::{Instance, LearnSet};
     use crate::eval::evaluate;
 
     fn noisy_rule_set(n: usize) -> LearnSet {
@@ -204,8 +185,8 @@ mod tests {
     #[test]
     fn forest_learns_the_rule() {
         let set = noisy_rule_set(500);
-        let forest = RandomForest::fit_default(&set);
-        let ev = evaluate(&forest, &set);
+        let forest = RandomForest::fit_default(&set.view());
+        let ev = evaluate(&forest, &set.view());
         assert!(ev.accuracy() > 0.9, "accuracy {}", ev.accuracy());
         assert_eq!(forest.n_trees(), 25);
     }
@@ -226,10 +207,10 @@ mod tests {
         }
         let set = LearnSet::new(instances, vec![5, 5], 2);
         let balanced = RandomForest::fit(
-            &set,
+            &set.view(),
             ForestConfig { variant: ForestVariant::Balanced, ..ForestConfig::default() },
         );
-        let ev = evaluate(&balanced, &set);
+        let ev = evaluate(&balanced, &set.view());
         assert!(ev.recall(1) > 0.9, "balanced recall {}", ev.recall(1));
     }
 
@@ -237,19 +218,19 @@ mod tests {
     fn weighted_forest_runs_and_is_reasonable() {
         let set = noisy_rule_set(300);
         let weighted = RandomForest::fit(
-            &set,
+            &set.view(),
             ForestConfig { variant: ForestVariant::Weighted, ..ForestConfig::default() },
         );
-        assert!(evaluate(&weighted, &set).accuracy() > 0.85);
+        assert!(evaluate(&weighted, &set.view()).accuracy() > 0.85);
     }
 
     #[test]
     fn deterministic_per_seed() {
         let set = noisy_rule_set(200);
-        let a = RandomForest::fit(&set, ForestConfig::default());
-        let b = RandomForest::fit(&set, ForestConfig::default());
+        let a = RandomForest::fit(&set.view(), ForestConfig::default());
+        let b = RandomForest::fit(&set.view(), ForestConfig::default());
         assert_eq!(a, b);
-        let c = RandomForest::fit(&set, ForestConfig { seed: 99, ..ForestConfig::default() });
+        let c = RandomForest::fit(&set.view(), ForestConfig { seed: 99, ..ForestConfig::default() });
         assert_ne!(a, c);
     }
 }

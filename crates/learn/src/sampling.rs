@@ -7,45 +7,36 @@
 //! > and good classes thrice."
 //!
 //! [`oversample`] takes a per-class replication factor: factor 1 keeps a
-//! class as-is, factor `k` makes each of its instances appear `k` times.
+//! class as-is, factor `k` makes each of its positions appear `k` times.
+//! The paper's factors per health granularity live with the health classes
+//! (`mpa_core::predict::HealthClasses::oversampling`).
 
-use crate::data::{Instance, LearnSet};
+use crate::data::View;
 
-/// Replicate instances per class. `factors[c]` is the total number of copies
-/// of each class-`c` instance in the output (so 1 = unchanged).
+/// Replicate positions per class. `factors[c]` is the total number of
+/// copies of each class-`c` position in the output (so 1 = unchanged);
+/// copies sit next to their original and keep its weight.
 ///
 /// # Panics
 /// Panics if `factors` does not cover all classes or contains a zero.
-pub fn oversample(set: &LearnSet, factors: &[usize]) -> LearnSet {
-    assert_eq!(factors.len(), usize::from(set.n_classes()), "one factor per class");
+pub fn oversample<'a>(view: &View<'a>, factors: &[usize]) -> View<'a> {
+    assert_eq!(factors.len(), usize::from(view.set.n_classes()), "one factor per class");
     assert!(factors.iter().all(|&f| f >= 1), "factors must be >= 1");
-    let mut out: Vec<Instance> = Vec::new();
-    for inst in set.instances() {
-        // mpa-lint: allow(R7) -- one factor per class is asserted above; labels are < n_classes
-        let copies = factors[usize::from(inst.label)];
-        for _ in 0..copies {
-            out.push(inst.clone());
-        }
+    let mut rows = Vec::new();
+    let mut weights = Vec::new();
+    for ((&r, &w), label) in view.rows.iter().zip(&view.weights).zip(view.labels()) {
+        let copies = factors.get(usize::from(label)).copied().unwrap_or(1);
+        rows.extend(std::iter::repeat_n(r, copies));
+        weights.extend(std::iter::repeat_n(w, copies));
     }
-    set.with_instances(out)
-}
-
-/// The paper's 2-class rule: unhealthy (class 1) replicated twice.
-pub fn oversample_2class(set: &LearnSet) -> LearnSet {
-    assert_eq!(set.n_classes(), 2, "2-class rule on a non-2-class set");
-    oversample(set, &[1, 2])
-}
-
-/// The paper's 5-class rule: good (1) and moderate (2) replicated thrice,
-/// poor (3) twice; excellent (0) and very poor (4) untouched.
-pub fn oversample_5class(set: &LearnSet) -> LearnSet {
-    assert_eq!(set.n_classes(), 5, "5-class rule on a non-5-class set");
-    oversample(set, &[1, 3, 3, 2, 1])
+    View::new(view.set, rows, weights)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::data::tests::class_counts;
+    use crate::data::{Instance, LearnSet};
 
     fn set_with_counts(counts: &[usize]) -> LearnSet {
         let mut instances = Vec::new();
@@ -62,35 +53,36 @@ mod tests {
     }
 
     #[test]
-    fn two_class_rule_doubles_unhealthy() {
-        let set = set_with_counts(&[10, 4]);
-        let over = oversample_2class(&set);
-        assert_eq!(over.class_counts(), vec![10, 8]);
+    fn factors_multiply_class_counts() {
+        let set = set_with_counts(&[100, 10, 8, 5, 7]);
+        let over = oversample(&set.view(), &[1, 3, 3, 2, 1]);
+        assert_eq!(class_counts(&over), vec![100, 30, 24, 10, 7]);
     }
 
     #[test]
-    fn five_class_rule_matches_paper() {
-        let set = set_with_counts(&[100, 10, 8, 5, 7]);
-        let over = oversample_5class(&set);
-        assert_eq!(over.class_counts(), vec![100, 30, 24, 10, 7]);
+    fn copies_sit_next_to_their_original() {
+        let set = set_with_counts(&[2, 1]);
+        let over = oversample(&set.view(), &[1, 2]);
+        assert_eq!(over.rows, vec![0, 1, 2, 2]);
+        assert_eq!(over.weights, vec![1.0; 4]);
     }
 
     #[test]
     fn factor_one_is_identity() {
         let set = set_with_counts(&[3, 3]);
-        let over = oversample(&set, &[1, 1]);
-        assert_eq!(over.instances(), set.instances());
+        let over = oversample(&set.view(), &[1, 1]);
+        assert_eq!(over, set.view());
     }
 
     #[test]
     #[should_panic(expected = "one factor per class")]
     fn wrong_factor_count_panics() {
-        oversample(&set_with_counts(&[2, 2]), &[1]);
+        oversample(&set_with_counts(&[2, 2]).view(), &[1]);
     }
 
     #[test]
     #[should_panic(expected = ">= 1")]
     fn zero_factor_panics() {
-        oversample(&set_with_counts(&[2, 2]), &[1, 0]);
+        oversample(&set_with_counts(&[2, 2]).view(), &[1, 0]);
     }
 }

@@ -9,7 +9,7 @@
 //! is the honest linear treatment of categorical bins; multi-class is
 //! one-vs-rest with the margin argmax.
 
-use crate::data::{Classifier, LearnSet};
+use crate::data::{Classifier, View};
 use mpa_stats::Sampler;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -44,29 +44,29 @@ pub struct LinearSvm {
 
 impl LinearSvm {
     /// Train with the given configuration.
-    pub fn fit(set: &LearnSet, config: SvmConfig) -> Self {
-        assert!(!set.is_empty(), "cannot train an SVM on an empty dataset");
-        let mut offsets = Vec::with_capacity(set.n_features());
+    pub fn fit(view: &View, config: SvmConfig) -> Self {
+        assert!(!view.rows.is_empty(), "cannot train an SVM on an empty dataset");
+        let mut offsets = Vec::with_capacity(view.set.n_features());
         let mut dim = 0usize;
-        for &a in set.feature_arity() {
+        for &a in view.set.feature_arity() {
             offsets.push(dim);
             dim += usize::from(a);
         }
 
-        let n = set.len();
-        let mut weights = Vec::with_capacity(usize::from(set.n_classes()));
-        for class in 0..set.n_classes() {
+        let n = view.rows.len();
+        let mut weights = Vec::with_capacity(usize::from(view.set.n_classes()));
+        for class in 0..view.set.n_classes() {
             let mut rng = StdRng::seed_from_u64(config.seed ^ u64::from(class));
             let mut s = Sampler::new(&mut rng);
             let mut w = vec![0.0; dim + 1]; // +1 bias
             for t in 1..=config.iterations {
                 let i = s.uniform_range(0, n as u64 - 1) as usize;
-                let inst = &set.instances()[i];
-                let y = if inst.label == class { 1.0 } else { -1.0 };
+                let (features, label) = (view.set.row(view.rows[i]), view.set.labels[view.rows[i]]);
+                let y = if label == class { 1.0 } else { -1.0 };
                 let eta = 1.0 / (config.lambda * t as f64);
                 // margin = w·x + b over the active one-hot indices.
                 let mut margin = w[dim];
-                for (j, &v) in inst.features.iter().enumerate() {
+                for (j, &v) in features.iter().enumerate() {
                     // mpa-lint: allow(R7) -- offsets[j] + v indexes feature j's one-hot block; v < its arity by encoding
                     margin += w[offsets[j] + usize::from(v)];
                 }
@@ -76,7 +76,7 @@ impl LinearSvm {
                     *wj *= shrink;
                 }
                 if y * margin < 1.0 {
-                    for (j, &v) in inst.features.iter().enumerate() {
+                    for (j, &v) in features.iter().enumerate() {
                         // mpa-lint: allow(R7) -- offsets[j] + v indexes feature j's one-hot block; v < its arity by encoding
                         w[offsets[j] + usize::from(v)] += eta * y;
                     }
@@ -89,8 +89,8 @@ impl LinearSvm {
     }
 
     /// Train with defaults.
-    pub fn fit_default(set: &LearnSet) -> Self {
-        Self::fit(set, SvmConfig::default())
+    pub fn fit_default(view: &View) -> Self {
+        Self::fit(view, SvmConfig::default())
     }
 
     fn margin(&self, class: usize, features: &[u8]) -> f64 {
@@ -106,18 +106,16 @@ impl LinearSvm {
 
 impl Classifier for LinearSvm {
     fn predict(&self, features: &[u8]) -> u8 {
-        (0..self.weights.len())
-            .max_by(|&a, &b| {
-                self.margin(a, features).total_cmp(&self.margin(b, features))
-            })
-            .expect("at least one class") as u8
+        let margin = |class| self.margin(class, features);
+        let best = (0..self.weights.len()).max_by(|&a, &b| margin(a).total_cmp(&margin(b)));
+        best.expect("at least one class") as u8
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::data::Instance;
+    use crate::data::{Instance, LearnSet};
     use crate::eval::evaluate;
 
     #[test]
@@ -131,8 +129,8 @@ mod tests {
             })
             .collect();
         let set = LearnSet::new(instances, vec![5], 2);
-        let svm = LinearSvm::fit(&set, SvmConfig { iterations: 20_000, ..SvmConfig::default() });
-        let ev = evaluate(&svm, &set);
+        let svm = LinearSvm::fit(&set.view(), SvmConfig { iterations: 20_000, ..SvmConfig::default() });
+        let ev = evaluate(&svm, &set.view());
         assert!(ev.accuracy() > 0.95, "accuracy {}", ev.accuracy());
     }
 
@@ -144,8 +142,8 @@ mod tests {
             })
             .collect();
         let set = LearnSet::new(instances, vec![3, 3], 3);
-        let svm = LinearSvm::fit_default(&set);
-        let ev = evaluate(&svm, &set);
+        let svm = LinearSvm::fit_default(&set.view());
+        let ev = evaluate(&svm, &set.view());
         assert!(ev.accuracy() > 0.95, "accuracy {}", ev.accuracy());
     }
 
@@ -169,8 +167,8 @@ mod tests {
             }
         }
         let set = LearnSet::new(instances, vec![5, 5], 2);
-        let svm = LinearSvm::fit_default(&set);
-        let ev = evaluate(&svm, &set);
+        let svm = LinearSvm::fit_default(&set.view());
+        let ev = evaluate(&svm, &set.view());
         assert!(
             ev.recall(1) < 0.5,
             "linear model should miss most of the pocket, recall {}",
@@ -185,6 +183,6 @@ mod tests {
             .collect();
         let set = LearnSet::new(instances, vec![5], 2);
         let cfg = SvmConfig { iterations: 5_000, ..SvmConfig::default() };
-        assert_eq!(LinearSvm::fit(&set, cfg), LinearSvm::fit(&set, cfg));
+        assert_eq!(LinearSvm::fit(&set.view(), cfg), LinearSvm::fit(&set.view(), cfg));
     }
 }

@@ -10,14 +10,17 @@
 //! * Features are categorical bins → **multiway splits**, one child per bin.
 //! * Split selection by **gain ratio** (information gain / split info), the
 //!   C4.5 criterion; features with non-positive gain are never split on.
-//! * Instances carry **weights** so the same builder serves AdaBoost.
+//! * Positions carry **weights** so the same builder serves AdaBoost.
+//! * Split search is **one fused pass** per node: every candidate feature's
+//!   (bin, class) and bin sums fill one reused scratch buffer, summed in
+//!   position order so the floats never depend on the layout.
 //! * **α-pruning**: a branch reached by less than `alpha_fraction` of the
 //!   total training weight becomes a leaf labelled with the majority class
 //!   of the data reaching it (the paper sets α = 1 % of all data).
 //! * Prediction for a bin never seen during training falls back to the
 //!   node's majority class.
 
-use crate::data::{Classifier, LearnSet};
+use crate::data::{Classifier, View};
 use serde::{Deserialize, Serialize};
 
 /// Tree-building configuration.
@@ -40,7 +43,6 @@ impl Default for TreeConfig {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DecisionTree {
     root: Node,
-    n_classes: u8,
 }
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -58,26 +60,27 @@ enum Node {
 }
 
 impl DecisionTree {
-    /// Train on a weighted dataset.
+    /// Train on a weighted view, every feature a candidate.
     ///
     /// # Panics
-    /// Panics on an empty dataset.
-    pub fn fit(set: &LearnSet, config: TreeConfig) -> Self {
-        assert!(!set.is_empty(), "cannot train a tree on an empty dataset");
-        let indices: Vec<usize> = (0..set.len()).collect();
-        let min_weight = config.alpha_fraction * set.total_weight();
-        let root = build(set, &indices, min_weight, config.max_depth);
-        Self { root, n_classes: set.n_classes() }
+    /// Panics on an empty view.
+    pub fn fit(view: &View, config: TreeConfig) -> Self {
+        let all: Vec<usize> = (0..view.set.n_features()).collect();
+        Self::fit_on(view, &all, config)
+    }
+
+    /// Train considering only `candidates` (ascending feature indices) for
+    /// splits, as a random forest's trees do.
+    pub(crate) fn fit_on(view: &View, candidates: &[usize], config: TreeConfig) -> Self {
+        assert!(!view.rows.is_empty(), "cannot train a tree on an empty dataset");
+        let min_weight = config.alpha_fraction * view.total_weight();
+        let mut grower = Grower::new(view, candidates, min_weight);
+        Self { root: grower.grow(0, view.rows.len(), config.max_depth) }
     }
 
     /// Train with the default configuration (α = 1 %).
-    pub fn fit_default(set: &LearnSet) -> Self {
-        Self::fit(set, TreeConfig::default())
-    }
-
-    /// Number of classes the tree predicts over.
-    pub fn n_classes(&self) -> u8 {
-        self.n_classes
+    pub fn fit_default(view: &View) -> Self {
+        Self::fit(view, TreeConfig::default())
     }
 
     /// Total node count (splits + leaves).
@@ -156,21 +159,6 @@ fn render_node(
     }
 }
 
-/// Weighted majority label among `indices`.
-fn majority(set: &LearnSet, indices: &[usize]) -> u8 {
-    let mut w = vec![0.0; usize::from(set.n_classes())];
-    for &i in indices {
-        let inst = &set.instances()[i];
-        // mpa-lint: allow(R7) -- instance labels are < n_classes, the weight vec's length
-        w[usize::from(inst.label)] += inst.weight;
-    }
-    w.iter()
-        .enumerate()
-        .max_by(|a, b| a.1.total_cmp(b.1))
-        .expect("at least one class")
-        .0 as u8
-}
-
 /// Weighted Shannon entropy (nats would do; bits for consistency).
 fn entropy_of(weights: &[f64]) -> f64 {
     let total: f64 = weights.iter().sum();
@@ -187,92 +175,158 @@ fn entropy_of(weights: &[f64]) -> f64 {
         .sum()
 }
 
-fn node_entropy(set: &LearnSet, indices: &[usize]) -> f64 {
-    let mut w = vec![0.0; usize::from(set.n_classes())];
-    for &i in indices {
-        let inst = &set.instances()[i];
-        // mpa-lint: allow(R7) -- instance labels are < n_classes, the weight vec's length
-        w[usize::from(inst.label)] += inst.weight;
-    }
-    entropy_of(&w)
-}
-
-/// Gain ratio of splitting `indices` on `feature`; `None` when the split is
-/// degenerate (single populated bin or non-positive gain).
-fn gain_ratio(set: &LearnSet, indices: &[usize], feature: usize) -> Option<f64> {
-    let arity = usize::from(set.feature_arity()[feature]);
-    let n_classes = usize::from(set.n_classes());
-    let mut bin_class = vec![vec![0.0; n_classes]; arity];
-    let mut bin_w = vec![0.0; arity];
-    let mut total = 0.0;
-    for &i in indices {
-        let inst = &set.instances()[i];
-        let b = usize::from(inst.features[feature]);
-        // mpa-lint: allow(R7) -- b < the feature's arity and labels are < n_classes, the table's dimensions
-        bin_class[b][usize::from(inst.label)] += inst.weight;
-        bin_w[b] += inst.weight;
-        total += inst.weight;
-    }
-    let populated = bin_w.iter().filter(|&&w| w > 0.0).count();
+/// Gain ratio of one candidate feature from its `cells` (`arity × k`
+/// per-(bin, class) sums) and `bins` (per-bin sums); `None` when the split
+/// is degenerate (single populated bin or non-positive gain). `parent` is
+/// scratch of length `k`.
+fn gain_ratio(cells: &[f64], bins: &[f64], total: f64, parent: &mut [f64]) -> Option<f64> {
+    let populated = bins.iter().filter(|&&w| w > 0.0).count();
     if populated < 2 || total <= 0.0 {
         return None;
     }
-    let parent = {
-        let mut w = vec![0.0; n_classes];
-        for bc in &bin_class {
-            for (a, b) in w.iter_mut().zip(bc) {
-                *a += b;
-            }
+    let k = parent.len();
+    parent.fill(0.0);
+    for bc in cells.chunks_exact(k) {
+        for (a, b) in parent.iter_mut().zip(bc) {
+            *a += b;
         }
-        entropy_of(&w)
-    };
+    }
     let children: f64 =
-        bin_w.iter().zip(&bin_class).map(|(&w, bc)| w / total * entropy_of(bc)).sum();
-    let gain = parent - children;
+        bins.iter().zip(cells.chunks_exact(k)).map(|(&w, bc)| w / total * entropy_of(bc)).sum();
+    let gain = entropy_of(parent) - children;
     if gain <= 1e-12 {
         return None;
     }
-    let split_info = entropy_of(&bin_w);
+    let split_info = entropy_of(bins);
     if split_info <= 1e-12 {
         return None;
     }
     Some(gain / split_info)
 }
 
-fn build(set: &LearnSet, indices: &[usize], min_weight: f64, depth_left: usize) -> Node {
-    let maj = majority(set, indices);
-    let weight: f64 = indices.iter().map(|&i| set.instances()[i].weight).sum();
+/// The C4.5 builder of one fit. A node is a range of `order`, the view's
+/// positions; the scratch buffers are sized once and reused by every node.
+/// Every sum runs in position order with one accumulator per cell, so the
+/// floats match a row-at-a-time builder bit for bit.
+struct Grower<'v, 'a> {
+    view: &'v View<'a>,
+    /// Candidate features, ascending (so `max_by` breaks ties as a scan of
+    /// all features would), each with the start of its block in `sums`:
+    /// `arity × k` (bin, class) cells, then `arity` bin cells.
+    candidates: Vec<(usize, usize)>,
+    sums: Vec<f64>,
+    class_w: Vec<f64>,
+    parent: Vec<f64>,
+    order: Vec<usize>,
+    spare: Vec<usize>,
+    min_weight: f64,
+}
 
-    // α-pruning and stopping rules.
-    if depth_left == 0 || weight < min_weight || node_entropy(set, indices) <= 1e-12 {
-        return Node::Leaf { label: maj };
+impl<'v, 'a> Grower<'v, 'a> {
+    fn new(view: &'v View<'a>, features: &[usize], min_weight: f64) -> Self {
+        let k = usize::from(view.set.n_classes());
+        let mut len = 0;
+        let mut candidates = Vec::with_capacity(features.len());
+        for &f in features {
+            candidates.push((f, len));
+            len += usize::from(view.set.feature_arity()[f]) * (k + 1);
+        }
+        Self {
+            view,
+            candidates,
+            sums: vec![0.0; len],
+            class_w: vec![0.0; k],
+            parent: vec![0.0; k],
+            order: (0..view.rows.len()).collect(),
+            spare: Vec::with_capacity(view.rows.len()),
+            min_weight,
+        }
     }
 
-    // Best feature by gain ratio.
-    let best = (0..set.n_features())
-        .filter_map(|f| gain_ratio(set, indices, f).map(|g| (f, g)))
-        .max_by(|a, b| a.1.total_cmp(&b.1));
-    let Some((feature, _)) = best else {
-        return Node::Leaf { label: maj };
-    };
-
-    let arity = usize::from(set.feature_arity()[feature]);
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); arity];
-    for &i in indices {
-        // mpa-lint: allow(R7) -- feature values are < the feature's arity, the buckets vec's length
-        buckets[usize::from(set.instances()[i].features[feature])].push(i);
-    }
-    let children = buckets
-        .iter()
-        .map(|bucket| {
-            if bucket.is_empty() {
-                Node::Leaf { label: maj }
-            } else {
-                build(set, bucket, min_weight, depth_left - 1)
+    fn grow(&mut self, lo: usize, hi: usize, depth_left: usize) -> Node {
+        // The node's per-class and total weight.
+        let View { set, rows, weights } = self.view;
+        self.class_w.fill(0.0);
+        let mut weight = 0.0;
+        for &p in &self.order[lo..hi] {
+            if let Some(cw) = self.class_w.get_mut(usize::from(set.labels[rows[p]])) {
+                *cw += weights[p];
             }
-        })
-        .collect();
-    Node::Split { feature, majority: maj, children }
+            weight += weights[p];
+        }
+        let classes = self.class_w.iter().enumerate();
+        let maj = classes.max_by(|a, b| a.1.total_cmp(b.1)).expect("at least one class").0 as u8;
+
+        // α-pruning and stopping rules.
+        if depth_left == 0 || weight < self.min_weight || entropy_of(&self.class_w) <= 1e-12 {
+            return Node::Leaf { label: maj };
+        }
+        let Some(feature) = self.best_split(lo, hi, weight) else {
+            return Node::Leaf { label: maj };
+        };
+        // One child per bin, in bin order; an empty bin is a majority leaf.
+        let mut start = lo;
+        let children = (0..set.feature_arity()[feature])
+            .map(|bin| {
+                let run = self.take_bin(start, hi, feature, bin);
+                start += run;
+                match run {
+                    0 => Node::Leaf { label: maj },
+                    _ => self.grow(start - run, start, depth_left - 1),
+                }
+            })
+            .collect();
+        Node::Split { feature, majority: maj, children }
+    }
+
+    /// Split search: one fused pass over the node's positions fills every
+    /// candidate's sums, then the best gain ratio wins.
+    fn best_split(&mut self, lo: usize, hi: usize, total: f64) -> Option<usize> {
+        let View { set, rows, weights } = self.view;
+        let (k, arity) = (self.class_w.len(), set.feature_arity());
+        self.sums.fill(0.0);
+        for &p in &self.order[lo..hi] {
+            let (row, c, w) = (set.row(rows[p]), usize::from(set.labels[rows[p]]), weights[p]);
+            for &(f, block) in &self.candidates {
+                let (b, a) = (usize::from(row[f]), usize::from(arity[f]));
+                self.sums[block + b * k + c] += w;
+                self.sums[block + a * k + b] += w;
+            }
+        }
+        mpa_obs::counters::LEARN_SPLIT_ROWS.add(((hi - lo) * self.candidates.len()) as u64);
+
+        let (sums, parent) = (&self.sums, &mut self.parent);
+        self.candidates
+            .iter()
+            .filter_map(|&(f, block)| {
+                let a = usize::from(arity[f]);
+                let end = block + a * k + a;
+                let (cells, bins) = sums[block..end].split_at(a * k);
+                gain_ratio(cells, bins, total, parent).map(|g| (f, g))
+            })
+            .max_by(|a, b| a.1.total_cmp(&b.1))
+            .map(|(f, _)| f)
+    }
+
+    /// Move the positions in `order[lo..hi]` whose `feature` falls in `bin`
+    /// to the front, both parts keeping their order, and count them.
+    fn take_bin(&mut self, lo: usize, hi: usize, feature: usize, bin: u8) -> usize {
+        let View { set, rows, .. } = self.view;
+        let node = &mut self.order[lo..hi];
+        self.spare.clear();
+        let mut run = 0;
+        for i in 0..node.len() {
+            let p = node[i];
+            if set.row(rows[p])[feature] == bin {
+                node[run] = p;
+                run += 1;
+            } else {
+                self.spare.push(p);
+            }
+        }
+        node[run..].copy_from_slice(&self.spare);
+        run
+    }
 }
 
 impl Classifier for DecisionTree {
@@ -296,7 +350,7 @@ impl Classifier for DecisionTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::data::Instance;
+    use crate::data::{Instance, LearnSet};
 
     fn set_from(rows: &[(&[u8], u8)], arity: Vec<u8>, n_classes: u8) -> LearnSet {
         LearnSet::new(
@@ -314,10 +368,10 @@ mod tests {
             (0..5u8).flat_map(|a| (0..5u8).map(move |b| (vec![a, b], u8::from(a >= 3)))).collect();
         let refs: Vec<(&[u8], u8)> = rows.iter().map(|(f, l)| (f.as_slice(), *l)).collect();
         let set = set_from(&refs, vec![5, 5], 2);
-        let tree = DecisionTree::fit(&set, TreeConfig { alpha_fraction: 0.0, max_depth: 10 });
+        let tree = DecisionTree::fit(&set.view(), TreeConfig { alpha_fraction: 0.0, max_depth: 10 });
         assert_eq!(tree.root_feature(), Some(0), "feature 0 is the informative one");
-        for inst in set.instances() {
-            assert_eq!(tree.predict(&inst.features), inst.label);
+        for (i, label) in set.labels.iter().enumerate() {
+            assert_eq!(tree.predict(set.row(i)), *label);
         }
     }
 
@@ -332,9 +386,9 @@ mod tests {
             .collect();
         let refs: Vec<(&[u8], u8)> = rows.iter().map(|(f, l)| (f.as_slice(), *l)).collect();
         let set = set_from(&refs, vec![2, 2], 2);
-        let tree = DecisionTree::fit(&set, TreeConfig { alpha_fraction: 0.0, max_depth: 10 });
-        for inst in set.instances() {
-            assert_eq!(tree.predict(&inst.features), inst.label, "{:?}", inst.features);
+        let tree = DecisionTree::fit(&set.view(), TreeConfig { alpha_fraction: 0.0, max_depth: 10 });
+        for (i, label) in set.labels.iter().enumerate() {
+            assert_eq!(tree.predict(set.row(i)), *label, "{:?}", set.row(i));
         }
         assert!(tree.depth() >= 2);
     }
@@ -349,7 +403,7 @@ mod tests {
             .collect();
         let refs: Vec<(&[u8], u8)> = rows.iter().map(|(f, l)| (f.as_slice(), *l)).collect();
         let set = set_from(&refs, vec![2, 2], 2);
-        let tree = DecisionTree::fit(&set, TreeConfig { alpha_fraction: 0.0, max_depth: 10 });
+        let tree = DecisionTree::fit(&set.view(), TreeConfig { alpha_fraction: 0.0, max_depth: 10 });
         assert_eq!(tree.n_nodes(), 1);
     }
 
@@ -373,13 +427,13 @@ mod tests {
         let refs: Vec<(&[u8], u8)> = rows.iter().map(|(f, l)| (f.as_slice(), *l)).collect();
         let set = set_from(&refs, vec![5, 2], 2);
 
-        let pruned = DecisionTree::fit(&set, TreeConfig { alpha_fraction: 0.1, max_depth: 10 });
+        let pruned = DecisionTree::fit(&set.view(), TreeConfig { alpha_fraction: 0.1, max_depth: 10 });
         // The small branch may not be refined: both feature-1 values predict
         // the branch majority (label 1).
         assert_eq!(pruned.predict(&[4, 0]), 1, "pruned to branch majority");
         assert_eq!(pruned.predict(&[4, 1]), 1);
 
-        let unpruned = DecisionTree::fit(&set, TreeConfig { alpha_fraction: 0.0, max_depth: 10 });
+        let unpruned = DecisionTree::fit(&set.view(), TreeConfig { alpha_fraction: 0.0, max_depth: 10 });
         assert_eq!(unpruned.predict(&[4, 0]), 0, "unpruned tree refines the branch");
         assert_eq!(unpruned.predict(&[4, 1]), 1);
         assert!(pruned.n_nodes() < unpruned.n_nodes());
@@ -397,14 +451,14 @@ mod tests {
             vec![2],
             2,
         );
-        let tree = DecisionTree::fit_default(&set);
+        let tree = DecisionTree::fit_default(&set.view());
         assert_eq!(tree.predict(&[0]), 1);
     }
 
     #[test]
     fn pure_node_is_a_leaf() {
         let set = set_from(&[(&[0u8][..], 1), (&[1u8][..], 1), (&[2u8][..], 1)], vec![3], 2);
-        let tree = DecisionTree::fit_default(&set);
+        let tree = DecisionTree::fit_default(&set.view());
         assert_eq!(tree.n_nodes(), 1);
         assert_eq!(tree.depth(), 0);
         assert_eq!(tree.predict(&[2]), 1);
@@ -418,7 +472,7 @@ mod tests {
             .collect();
         let refs: Vec<(&[u8], u8)> = rows.iter().map(|(f, l)| (f.as_slice(), *l)).collect();
         let set = set_from(&refs, vec![3, 3], 2);
-        let tree = DecisionTree::fit(&set, TreeConfig { alpha_fraction: 0.0, max_depth: 10 });
+        let tree = DecisionTree::fit(&set.view(), TreeConfig { alpha_fraction: 0.0, max_depth: 10 });
         let text = tree.render(1, &["No. of devices", "No. of roles"], &["healthy", "unhealthy"]);
         assert!(text.contains("No. of devices") || text.contains("No. of roles"), "{text}");
         assert!(text.contains("elided") || text.lines().count() > 3);
@@ -430,7 +484,7 @@ mod tests {
             (0..4u8).flat_map(|a| std::iter::repeat_n((vec![a], a), 20)).collect();
         let refs: Vec<(&[u8], u8)> = rows.iter().map(|(f, l)| (f.as_slice(), *l)).collect();
         let set = set_from(&refs, vec![4], 4);
-        let tree = DecisionTree::fit_default(&set);
+        let tree = DecisionTree::fit_default(&set.view());
         for c in 0..4u8 {
             assert_eq!(tree.predict(&[c]), c);
         }

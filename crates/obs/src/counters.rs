@@ -206,12 +206,15 @@ pub static SERVE_INGEST_REJECTED: Counter = Counter::new("serve_ingest_rejected"
 /// Networks incrementally re-inferred after accepted ingest batches.
 pub static SERVE_NETWORKS_REINFERRED: Counter = Counter::new("serve_networks_reinferred");
 
-// --- boosting (incremented by mpa-learn) ---------------------------------
+// --- learning (incremented by mpa-learn) ---------------------------------
 
 /// AdaBoost rounds executed (trees fitted inside the boosting loop).
 pub static BOOST_ROUNDS: Counter = Counter::new("boost_rounds");
 /// Boosting runs that stopped before their configured iteration budget.
 pub static BOOST_EARLY_STOPS: Counter = Counter::new("boost_early_stops");
+/// Rows visited by the decision-tree split search, times the candidate
+/// features each visit updates: the work unit of learning.
+pub static LEARN_SPLIT_ROWS: Counter = Counter::new("learn_split_rows");
 
 /// Every registered counter, in report order.
 pub static ALL: &[&Counter] = &[
@@ -257,6 +260,7 @@ pub static ALL: &[&Counter] = &[
     &SERVE_NETWORKS_REINFERRED,
     &BOOST_ROUNDS,
     &BOOST_EARLY_STOPS,
+    &LEARN_SPLIT_ROWS,
 ];
 
 /// Snapshot every registered counter as `(name, total)` in report order.

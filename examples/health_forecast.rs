@@ -32,20 +32,20 @@ fn main() {
 
     // What-if analysis: train a 2-class model on everything, then probe it.
     let set = build_learnset(&table, HealthClasses::Two);
-    let model = mpa::analytics::predict::train(ModelKind::Dt, &set, HealthClasses::Two);
+    let model = mpa::analytics::predict::train(ModelKind::Dt, &set.view(), HealthClasses::Two);
 
     let events_col = Metric::ChangeEvents.index();
     let mut flipped = 0;
     let mut unhealthy = 0;
-    for inst in set.instances() {
-        if model.predict(&inst.features) != 1 {
+    for features in (0..set.len()).map(|i| set.row(i)) {
+        if model.predict(features) != 1 {
             continue; // only look at unhealthy-predicted cases
         }
         unhealthy += 1;
-        if inst.features[events_col] == 0 {
+        if features[events_col] == 0 {
             continue; // already at the lowest change-event bin
         }
-        let mut probe = inst.features.clone();
+        let mut probe = features.to_vec();
         probe[events_col] = 0; // what if changes were batched way down?
         if model.predict(&probe) == 0 {
             flipped += 1;

@@ -37,7 +37,7 @@ fn pipeline_output_is_identical_at_1_2_and_8_threads() {
             qed: analyze_treatment(&table, Metric::ConfigChanges, &CausalConfig::default()),
             forest: {
                 let set = build_learnset(&table, HealthClasses::Two);
-                format!("{:?}", RandomForest::fit(&set, ForestConfig::default()))
+                format!("{:?}", RandomForest::fit(&set.view(), ForestConfig::default()))
             },
             cv: format!(
                 "{:?}",
