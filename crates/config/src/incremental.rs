@@ -65,8 +65,9 @@ const BRACE_CLOSE: u8 = 3; // `}` — closes a block
 /// Built once (before the per-network fan-out) and shared read-only by all
 /// workers: classification is a pure function of line text, so a single
 /// `Vec<u8>` lookup replaces all string inspection in the per-snapshot
-/// segmentation scans.
-#[derive(Debug)]
+/// segmentation scans. The intern table only grows, so a long-lived
+/// owner keeps the classes current with [`Self::extend`].
+#[derive(Debug, PartialEq, Eq)]
 pub struct LineClasses {
     block: Vec<u8>,
     brace: Vec<u8>,
@@ -75,15 +76,22 @@ pub struct LineClasses {
 impl LineClasses {
     /// Classify every interned line of `archive`, for both dialects.
     pub fn new(archive: &SnapshotArchive) -> Self {
+        let mut classes = Self { block: Vec::new(), brace: Vec::new() };
+        classes.extend(archive);
+        classes
+    }
+
+    /// Classify the lines `archive` interned since these classes were
+    /// built from it.
+    pub fn extend(&mut self, archive: &SnapshotArchive) {
         let n = archive.n_interned_lines();
-        let mut block = Vec::with_capacity(n);
-        let mut brace = Vec::with_capacity(n);
-        for i in 0..n {
+        self.block.reserve(n.saturating_sub(self.block.len()));
+        self.brace.reserve(n.saturating_sub(self.brace.len()));
+        for i in self.block.len()..n {
             let line = archive.line_text(LineId(i as u32));
-            block.push(classify_block(line));
-            brace.push(classify_brace(line));
+            self.block.push(classify_block(line));
+            self.brace.push(classify_brace(line));
         }
-        Self { block, brace }
     }
 
     fn of(&self, dialect: Dialect) -> &[u8] {
@@ -818,5 +826,33 @@ mod tests {
         // tests increment it concurrently.)
         let entries = engine.caches[dialect_ix(Dialect::BlockKeyword)].entries.len();
         assert_eq!(entries, 4, "3 base segments + 1 changed segment");
+    }
+
+    #[test]
+    fn classes_grown_across_pushes_equal_classes_of_the_final_archive() {
+        let texts = [
+            "hostname a\ninterface e0\n description one\n",
+            "hostname a\ninterface e0\n description two\n!\n",
+            "system {\n  host-name a;\n}\n",
+            "system {\n  host-name b;\n}\nvlans {\n  v1;\n}\n",
+        ];
+        let mut archive = SnapshotArchive::new();
+        let mut grown = LineClasses::new(&archive);
+        for (i, t) in texts.iter().enumerate() {
+            archive
+                .push(Snapshot {
+                    meta: SnapshotMeta {
+                        device: DeviceId(1 + i as u32 % 2),
+                        time: Timestamp(i as u64 * 10),
+                        login: Login::new("x"),
+                    },
+                    text: (*t).to_string(),
+                })
+                .unwrap();
+            grown.extend(&archive);
+            assert_eq!(grown.block.len(), archive.n_interned_lines());
+        }
+        grown.extend(&archive);
+        assert_eq!(grown, LineClasses::new(&archive));
     }
 }

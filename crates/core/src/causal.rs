@@ -123,22 +123,42 @@ impl CausalAnalysis {
     }
 }
 
-/// Run the matched-design QED for one treatment metric.
+/// Run the matched-design QED for one treatment metric, at every
+/// comparison point.
 pub fn analyze_treatment(
     table: &CaseTable,
     treatment: Metric,
     config: &CausalConfig,
 ) -> CausalAnalysis {
-    let treat_col = table.column(treatment);
-    let binner = Binner::fit(&treat_col, config.n_treatment_bins);
-    let mut bins: Vec<usize> = binner.bin_all(&treat_col);
+    let design = TreatmentDesign::new(table, treatment, config);
+    let comparisons =
+        (0..config.n_treatment_bins - 1).map(|b| design.compare(b, config)).collect();
+    CausalAnalysis { metric: treatment, comparisons }
+}
 
-    // Discrete metrics (e.g. number of roles, 1..6) can leave equal-width
-    // bins empty, which would make "neighbouring bin" comparisons vacuous.
-    // Relabel to the ordered sequence of *populated* bins — the paper's own
-    // provision ("more (or fewer) bins can be used if we have an
-    // (in)sufficient number of cases in each bin").
-    {
+/// What every comparison point of one treatment shares: the treatment bin
+/// of each case, its binned confounders and its ticket count.
+pub struct TreatmentDesign {
+    bins: Vec<usize>,
+    confounders: Vec<Metric>,
+    /// Row-major, one row of `confounders.len()` bin indices per case.
+    features: Vec<f64>,
+    tickets: Vec<f64>,
+}
+
+impl TreatmentDesign {
+    /// Bin the treatment and the other 27 metrics of `table`.
+    pub fn new(table: &CaseTable, treatment: Metric, config: &CausalConfig) -> Self {
+        let treat_col = table.column(treatment);
+        let binner = Binner::fit(&treat_col, config.n_treatment_bins);
+        let mut bins: Vec<usize> = binner.bin_all(&treat_col);
+
+        // Discrete metrics (e.g. number of roles, 1..6) can leave
+        // equal-width bins empty, which would make "neighbouring bin"
+        // comparisons vacuous. Relabel to the ordered sequence of
+        // *populated* bins — the paper's own provision ("more (or fewer)
+        // bins can be used if we have an (in)sufficient number of cases in
+        // each bin").
         let mut present: Vec<usize> = bins.clone();
         present.sort_unstable();
         present.dedup();
@@ -147,190 +167,169 @@ pub fn analyze_treatment(
         for b in &mut bins {
             *b = relabel[b];
         }
-    }
 
-    // Confounders: all 27 other metrics, entered as their 10-bin indices —
-    // the §5.1.1 discretization precedes every analysis in the paper, and
-    // binning is exactly what lets the propensity model retain common
-    // support in the face of heavy-tailed, strongly-related metrics.
-    let confounders: Vec<Metric> =
-        Metric::ALL.iter().copied().filter(|&m| m != treatment).collect();
-    let conf_binners: Vec<Binner> = confounders
-        .iter()
-        .map(|&m| Binner::fit(&table.column(m), crate::dependence::DEPENDENCE_BINS))
-        .collect();
-    let features: Vec<Vec<f64>> = table
-        .cases()
-        .iter()
-        .map(|c| {
-            confounders
-                .iter()
-                .zip(&conf_binners)
-                // mpa-lint: allow(R7) -- Metric::index() is the dense slot in a values vec sized Metric::ALL
-                .map(|(m, b)| b.bin(c.values[m.index()]) as f64)
-                .collect()
-        })
-        .collect();
-    let tickets = table.tickets();
-
-    let comparisons = (0..config.n_treatment_bins - 1)
-        .map(|b| {
-            compare_bins(
-                table, &bins, &confounders, &features, &tickets, b, config,
-            )
-        })
-        .collect();
-
-    CausalAnalysis { metric: treatment, comparisons }
-}
-
-fn compare_bins(
-    table: &CaseTable,
-    bins: &[usize],
-    confounders: &[Metric],
-    features: &[Vec<f64>],
-    tickets: &[f64],
-    b: usize,
-    config: &CausalConfig,
-) -> ComparisonResult {
-    let untreated_ix: Vec<usize> =
-        (0..bins.len()).filter(|&i| bins[i] == b).collect();
-    let treated_ix: Vec<usize> =
-        (0..bins.len()).filter(|&i| bins[i] == b + 1).collect();
-
-    mpa_obs::counters::CAUSAL_COMPARISONS.incr();
-    let mut result = ComparisonResult {
-        point: (b + 1, b + 2),
-        n_untreated: untreated_ix.len(),
-        n_treated: treated_ix.len(),
-        n_pairs: 0,
-        n_untreated_matched: 0,
-        score_balance: None,
-        n_imbalanced_covariates: 0,
-        sign: None,
-        matched_treated_ix: Vec::new(),
-        matched_untreated_ix: Vec::new(),
-        imbalanced: Vec::new(),
-    };
-    if untreated_ix.len() < config.min_cases || treated_ix.len() < config.min_cases {
-        return result;
-    }
-
-    // Propensity model: P(treated | binned confounders). The mild ridge
-    // guards against the near-collinear confounders Table 4's CMI analysis
-    // predicts.
-    let mut x: Vec<Vec<f64>> = Vec::with_capacity(untreated_ix.len() + treated_ix.len());
-    let mut y: Vec<bool> = Vec::with_capacity(untreated_ix.len() + treated_ix.len());
-    for &i in &untreated_ix {
-        x.push(features[i].clone());
-        y.push(false);
-    }
-    for &i in &treated_ix {
-        x.push(features[i].clone());
-        y.push(true);
-    }
-    let model = LogisticRegression::fit(
-        &x,
-        &y,
-        LogisticConfig { lambda: 0.5, ..LogisticConfig::default() },
-    );
-    let score = |i: usize| model.predict_proba(&features[i]);
-
-    let u_scores: Vec<(f64, usize)> = untreated_ix.iter().map(|&i| (score(i), i)).collect();
-    let t_scores: Vec<(f64, usize)> = treated_ix.iter().map(|&i| (score(i), i)).collect();
-
-    // Common support: discard treated (untreated) cases whose score falls
-    // outside the other arm's score range.
-    let range = |v: &[(f64, usize)]| {
-        let lo = v.iter().map(|p| p.0).fold(f64::INFINITY, f64::min);
-        let hi = v.iter().map(|p| p.0).fold(f64::NEG_INFINITY, f64::max);
-        (lo, hi)
-    };
-    let (u_lo, u_hi) = range(&u_scores);
-    let (t_lo, t_hi) = range(&t_scores);
-    let n_scored = u_scores.len() + t_scores.len();
-    let mut u_kept: Vec<(f64, usize)> =
-        u_scores.into_iter().filter(|p| p.0 >= t_lo && p.0 <= t_hi).collect();
-    let t_kept: Vec<(f64, usize)> =
-        t_scores.into_iter().filter(|p| p.0 >= u_lo && p.0 <= u_hi).collect();
-    mpa_obs::counters::CAUSAL_SUPPORT_DROPS
-        .add((n_scored - u_kept.len() - t_kept.len()) as u64);
-    if u_kept.is_empty() || t_kept.is_empty() {
-        return result;
-    }
-
-    // k=1 nearest neighbour with replacement on sorted untreated scores.
-    // A caliper is *optional* and off by default: with
-    // `CausalConfig::default()` (`caliper_sd: None`) every treated case is
-    // matched to its nearest untreated neighbour, reproducing the paper's
-    // plain nearest-neighbour matching, and match *quality* is certified
-    // solely by the §5.2.4 balance checks. When `caliper_sd` is set (e.g.
-    // `Some(0.2)`, Rosenbaum–Rubin's classic stricter rule, measured in
-    // standard deviations of the logit propensity score), a treated case
-    // with no sufficiently close untreated neighbour is dropped rather
-    // than force-matched.
-    let logit = |p: f64| {
-        let p = p.clamp(1e-12, 1.0 - 1e-12);
-        (p / (1.0 - p)).ln()
-    };
-    let all_logits: Vec<f64> =
-        u_kept.iter().chain(t_kept.iter()).map(|&(p, _)| logit(p)).collect();
-    let caliper = config
-        .caliper_sd
-        .map(|c| c * mpa_stats::variance(&all_logits).sqrt())
-        .unwrap_or(f64::INFINITY);
-
-    u_kept.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let mut diffs: Vec<i64> = Vec::with_capacity(t_kept.len());
-    let mut used_untreated: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
-    for &(ts, ti) in &t_kept {
-        let pos = u_kept.partition_point(|p| p.0 < ts);
-        let candidates = [pos.checked_sub(1), (pos < u_kept.len()).then_some(pos)];
-        let Some((us, ui)) = candidates
+        // Confounders: all 27 other metrics, entered as their 10-bin
+        // indices — the §5.1.1 discretization precedes every analysis in
+        // the paper, and binning is exactly what lets the propensity model
+        // retain common support in the face of heavy-tailed,
+        // strongly-related metrics.
+        let confounders: Vec<Metric> =
+            Metric::ALL.iter().copied().filter(|&m| m != treatment).collect();
+        let conf_binners: Vec<Binner> = confounders
             .iter()
-            .flatten()
-            .map(|&c| u_kept[c])
-            .min_by(|a, b| (a.0 - ts).abs().total_cmp(&(b.0 - ts).abs()))
-        else {
-            continue;
+            .map(|&m| Binner::fit(&table.column(m), crate::dependence::DEPENDENCE_BINS))
+            .collect();
+        let mut features = Vec::with_capacity(table.n_cases() * confounders.len());
+        for c in table.cases() {
+            for (m, b) in confounders.iter().zip(&conf_binners) {
+                // mpa-lint: allow(R7) -- Metric::index() is the dense slot in a values vec sized Metric::ALL
+                features.push(b.bin(c.values[m.index()]) as f64);
+            }
+        }
+        Self { bins, confounders, features, tickets: table.tickets() }
+    }
+
+    /// The binned confounders of case `i`.
+    fn row(&self, i: usize) -> &[f64] {
+        let p = self.confounders.len();
+        self.features.get(i * p..i * p + p).unwrap_or_default()
+    }
+
+    /// Compare bin `b` (untreated) with bin `b + 1` (treated): the
+    /// 1-based comparison point `(b + 1, b + 2)`.
+    pub fn compare(&self, b: usize, config: &CausalConfig) -> ComparisonResult {
+        let bins = &self.bins;
+        let untreated_ix: Vec<usize> = (0..bins.len()).filter(|&i| bins[i] == b).collect();
+        let treated_ix: Vec<usize> = (0..bins.len()).filter(|&i| bins[i] == b + 1).collect();
+
+        mpa_obs::counters::CAUSAL_COMPARISONS.incr();
+        let mut result = ComparisonResult {
+            point: (b + 1, b + 2),
+            n_untreated: untreated_ix.len(),
+            n_treated: treated_ix.len(),
+            n_pairs: 0,
+            n_untreated_matched: 0,
+            score_balance: None,
+            n_imbalanced_covariates: 0,
+            sign: None,
+            matched_treated_ix: Vec::new(),
+            matched_untreated_ix: Vec::new(),
+            imbalanced: Vec::new(),
         };
-        if (logit(us) - logit(ts)).abs() > caliper {
-            mpa_obs::counters::CAUSAL_CALIPER_DROPS.incr();
-            continue;
+        if untreated_ix.len() < config.min_cases || treated_ix.len() < config.min_cases {
+            return result;
         }
-        result.matched_treated_ix.push(ti);
-        result.matched_untreated_ix.push(ui);
-        used_untreated.insert(ui);
-        diffs.push((tickets[ti] - tickets[ui]).round() as i64);
-    }
-    result.n_pairs = diffs.len();
-    result.n_untreated_matched = used_untreated.len();
-    mpa_obs::counters::CAUSAL_MATCHED_PAIRS.add(diffs.len() as u64);
 
-    // Balance over the matched samples (duplicates included: matching with
-    // replacement weights untreated cases by reuse).
-    let t_s: Vec<f64> = result.matched_treated_ix.iter().map(|&i| score(i)).collect();
-    let u_s: Vec<f64> = result.matched_untreated_ix.iter().map(|&i| score(i)).collect();
-    result.score_balance = Some(BalanceCheck::compute(&t_s, &u_s));
+        // Propensity model: P(treated | binned confounders), fitted on the
+        // untreated rows, then the treated ones. The mild ridge guards
+        // against the near-collinear confounders Table 4's CMI analysis
+        // predicts.
+        let rows: Vec<usize> = untreated_ix.iter().chain(&treated_ix).copied().collect();
+        let y: Vec<bool> = rows.iter().map(|&i| bins[i] == b + 1).collect();
+        let model = LogisticRegression::fit(
+            &self.features,
+            self.confounders.len(),
+            &rows,
+            &y,
+            LogisticConfig { lambda: 0.5, ..LogisticConfig::default() },
+        );
+        let score = |i: usize| model.predict_proba(self.row(i));
 
-    // Covariate balance is assessed on the binned values the propensity
-    // model consumed (Stuart: check the covariates as they enter the model).
-    let n_conf = features[0].len();
-    for j in 0..n_conf {
-        let tv: Vec<f64> =
-            result.matched_treated_ix.iter().map(|&i| features[i][j]).collect();
-        let uv: Vec<f64> =
-            result.matched_untreated_ix.iter().map(|&i| features[i][j]).collect();
-        let check = BalanceCheck::compute(&tv, &uv);
-        if !check.is_balanced() {
-            result.imbalanced.push((confounders[j], check.std_diff));
+        let u_scores: Vec<(f64, usize)> = untreated_ix.iter().map(|&i| (score(i), i)).collect();
+        let t_scores: Vec<(f64, usize)> = treated_ix.iter().map(|&i| (score(i), i)).collect();
+
+        // Common support: discard treated (untreated) cases whose score falls
+        // outside the other arm's score range.
+        let range = |v: &[(f64, usize)]| {
+            let lo = v.iter().map(|p| p.0).fold(f64::INFINITY, f64::min);
+            let hi = v.iter().map(|p| p.0).fold(f64::NEG_INFINITY, f64::max);
+            (lo, hi)
+        };
+        let (u_lo, u_hi) = range(&u_scores);
+        let (t_lo, t_hi) = range(&t_scores);
+        let n_scored = u_scores.len() + t_scores.len();
+        let mut u_kept: Vec<(f64, usize)> =
+            u_scores.into_iter().filter(|p| p.0 >= t_lo && p.0 <= t_hi).collect();
+        let t_kept: Vec<(f64, usize)> =
+            t_scores.into_iter().filter(|p| p.0 >= u_lo && p.0 <= u_hi).collect();
+        mpa_obs::counters::CAUSAL_SUPPORT_DROPS
+            .add((n_scored - u_kept.len() - t_kept.len()) as u64);
+        if u_kept.is_empty() || t_kept.is_empty() {
+            return result;
         }
-    }
-    result.n_imbalanced_covariates = result.imbalanced.len();
 
-    result.sign = Some(sign_test_from_diffs(&diffs));
-    let _ = table; // silence in case diagnostics want richer data later
-    result
+        // k=1 nearest neighbour with replacement on sorted untreated scores.
+        // A caliper is *optional* and off by default: with
+        // `CausalConfig::default()` (`caliper_sd: None`) every treated case is
+        // matched to its nearest untreated neighbour, reproducing the paper's
+        // plain nearest-neighbour matching, and match *quality* is certified
+        // solely by the §5.2.4 balance checks. When `caliper_sd` is set (e.g.
+        // `Some(0.2)`, Rosenbaum–Rubin's classic stricter rule, measured in
+        // standard deviations of the logit propensity score), a treated case
+        // with no sufficiently close untreated neighbour is dropped rather
+        // than force-matched.
+        let logit = |p: f64| {
+            let p = p.clamp(1e-12, 1.0 - 1e-12);
+            (p / (1.0 - p)).ln()
+        };
+        let all_logits: Vec<f64> =
+            u_kept.iter().chain(t_kept.iter()).map(|&(p, _)| logit(p)).collect();
+        let caliper = config
+            .caliper_sd
+            .map(|c| c * mpa_stats::variance(&all_logits).sqrt())
+            .unwrap_or(f64::INFINITY);
+
+        u_kept.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let mut diffs: Vec<i64> = Vec::with_capacity(t_kept.len());
+        let mut used_untreated = std::collections::BTreeSet::new();
+        for &(ts, ti) in &t_kept {
+            let pos = u_kept.partition_point(|p| p.0 < ts);
+            let candidates = [pos.checked_sub(1), (pos < u_kept.len()).then_some(pos)];
+            let Some((us, ui)) = candidates
+                .iter()
+                .flatten()
+                .map(|&c| u_kept[c])
+                .min_by(|a, b| (a.0 - ts).abs().total_cmp(&(b.0 - ts).abs()))
+            else {
+                continue;
+            };
+            if (logit(us) - logit(ts)).abs() > caliper {
+                mpa_obs::counters::CAUSAL_CALIPER_DROPS.incr();
+                continue;
+            }
+            result.matched_treated_ix.push(ti);
+            result.matched_untreated_ix.push(ui);
+            used_untreated.insert(ui);
+            diffs.push((self.tickets[ti] - self.tickets[ui]).round() as i64);
+        }
+        result.n_pairs = diffs.len();
+        result.n_untreated_matched = used_untreated.len();
+        mpa_obs::counters::CAUSAL_MATCHED_PAIRS.add(diffs.len() as u64);
+
+        // Balance over the matched samples (duplicates included: matching with
+        // replacement weights untreated cases by reuse).
+        let t_s: Vec<f64> = result.matched_treated_ix.iter().map(|&i| score(i)).collect();
+        let u_s: Vec<f64> = result.matched_untreated_ix.iter().map(|&i| score(i)).collect();
+        result.score_balance = Some(BalanceCheck::compute(&t_s, &u_s));
+
+        // Covariate balance is assessed on the binned values the propensity
+        // model consumed (Stuart: check the covariates as they enter the model).
+        let p = self.confounders.len();
+        for (j, &confounder) in self.confounders.iter().enumerate() {
+            let tv: Vec<f64> =
+                result.matched_treated_ix.iter().map(|&i| self.features[i * p + j]).collect();
+            let uv: Vec<f64> =
+                result.matched_untreated_ix.iter().map(|&i| self.features[i * p + j]).collect();
+            let check = BalanceCheck::compute(&tv, &uv);
+            if !check.is_balanced() {
+                result.imbalanced.push((confounder, check.std_diff));
+            }
+        }
+        result.n_imbalanced_covariates = result.imbalanced.len();
+
+        result.sign = Some(sign_test_from_diffs(&diffs));
+        result
+    }
 }
 
 #[cfg(test)]

@@ -33,7 +33,9 @@ pub mod exec {
     pub use mpa_exec::*;
 }
 
-pub use causal::{analyze_treatment, CausalAnalysis, CausalConfig, ComparisonResult};
+pub use causal::{
+    analyze_treatment, CausalAnalysis, CausalConfig, ComparisonResult, TreatmentDesign,
+};
 pub use compare::{compare_survey, Agreement, OpinionEvidence};
 pub use dependence::{cmi_ranking, mi_ranking, CmiEntry, MiEntry};
 pub use predict::{

@@ -16,17 +16,27 @@
 //! ordering contract), and only then is the dataset mutated. A rejected
 //! batch leaves the session untouched.
 //!
-//! After application, only the networks an event touched are re-inferred —
-//! [`mpa_metrics::NetworkInferCtx`] is the exact parallel unit of the batch
-//! pipeline, and per-network inference reads nothing but the (grown)
-//! dataset — so the updated case table is **byte-identical** to what a cold
-//! batch run over the extended corpus would produce. The derived products
-//! are recomputed from that table on the next [`Self::analytics`] call and
-//! are therefore byte-identical too. This ingest-equals-batch property is
+//! The session keeps one [`mpa_metrics::NetworkInferCtx`] resident: built
+//! once with the session (and used for its initial inference), then
+//! brought up to date by each batch — only newly interned lines are
+//! classified, only the batch's tickets are counted. After application,
+//! only the networks a snapshot touched are re-inferred (the context's
+//! `infer_network` is the exact parallel unit of the batch pipeline, and
+//! reads nothing but the context and the grown dataset); a network that
+//! only received tickets keeps its rows and has each row's ticket count
+//! re-read through the lookup inference itself uses. The updated case
+//! table is therefore **byte-identical** to what a cold batch run over the
+//! extended corpus would produce. The derived products are recomputed from
+//! that table on the next [`AnalyticsSession::analytics`] call and are
+//! therefore byte-identical too. This ingest-equals-batch property is
 //! golden- and property-tested (serve test suite and the facade's
-//! `serve_session` tests).
+//! `serve_session` tests), over sequences of batches.
+//!
+//! A refresh computes what the daemon serves: the MI ranking, the 1:2
+//! matched comparison (the one `/causal/summary` renders) for each of the
+//! top `causal_top` practices, and the decision tree.
 
-use crate::causal::{analyze_treatment, CausalAnalysis, CausalConfig};
+use crate::causal::{CausalConfig, ComparisonResult, TreatmentDesign};
 use crate::dependence::{mi_ranking, MiEntry};
 use crate::predict::{
     class_distribution, train, FeatureEncoder, HealthClasses, ModelKind, TrainedModel,
@@ -114,18 +124,22 @@ pub struct IngestOutcome {
     pub snapshots: usize,
     /// Tickets appended to the stream.
     pub tickets: usize,
-    /// Networks whose case rows were re-inferred.
+    /// Networks whose case rows were re-inferred: those a snapshot
+    /// touched. A network that only received tickets has its rows'
+    /// ticket counts updated instead.
     pub networks_reinferred: usize,
+    /// The session's event count right after this batch.
+    pub events_applied: u64,
 }
 
 /// One row of the causal summary: a top-MI practice and its
-/// quasi-experimental comparison.
+/// quasi-experimental comparison at the paper's 1:2 point (Table 7's).
 #[derive(Debug, Clone)]
 pub struct CausalRow {
     /// The treatment practice.
     pub metric: Metric,
-    /// The matched-comparison analysis for that treatment.
-    pub analysis: CausalAnalysis,
+    /// The matched comparison of its two lowest treatment bins.
+    pub comparison: ComparisonResult,
 }
 
 /// Products derived from the case table: recomputed (lazily) after every
@@ -134,7 +148,8 @@ pub struct CausalRow {
 pub struct Analytics {
     /// MI ranking of all practices (the Table 3 ordering).
     pub mi: Vec<MiEntry>,
-    /// Causal comparisons for the top `causal_top` practices.
+    /// The 1:2 causal comparison of each of the top `causal_top`
+    /// practices; the other comparison points are not computed.
     pub causal: Vec<CausalRow>,
     /// The causal configuration the rows were computed with.
     pub causal_config: CausalConfig,
@@ -173,6 +188,8 @@ pub struct AnalyticsSession {
     device_network: BTreeMap<DeviceId, usize>,
     /// Network id → index into `dataset.networks`.
     network_index: BTreeMap<NetworkId, usize>,
+    /// Ticket counts and line classes of the current dataset.
+    ctx: NetworkInferCtx,
     events_applied: u64,
     analytics: Option<Analytics>,
 }
@@ -180,7 +197,8 @@ pub struct AnalyticsSession {
 impl AnalyticsSession {
     /// Build a session by running batch inference over `dataset`.
     pub fn new(dataset: Dataset, config: SessionConfig) -> Self {
-        let inference = mpa_metrics::infer(&dataset, config.delta_minutes);
+        let ctx = NetworkInferCtx::new(&dataset, config.delta_minutes);
+        let inference = ctx.infer(&dataset);
 
         let mut device_network = BTreeMap::new();
         let mut network_index = BTreeMap::new();
@@ -213,6 +231,7 @@ impl AnalyticsSession {
             table: inference.table,
             device_network,
             network_index,
+            ctx,
             events_applied: 0,
             analytics: None,
         };
@@ -269,14 +288,12 @@ impl AnalyticsSession {
         let causal_config = CausalConfig::default();
         let top: Vec<&MiEntry> = mi.iter().take(cfg.causal_top).collect();
         // Matching is independent per treatment; fan out like `analyze`.
-        let analyses = mpa_exec::par_map(&top, |_, e| {
-            analyze_treatment(&self.table, e.metric, &causal_config)
+        // Only the 1:2 point is served, so only it is computed.
+        let causal = mpa_exec::par_map(&top, |_, e| CausalRow {
+            metric: e.metric,
+            comparison: TreatmentDesign::new(&self.table, e.metric, &causal_config)
+                .compare(0, &causal_config),
         });
-        let causal = top
-            .iter()
-            .zip(analyses)
-            .map(|(e, analysis)| CausalRow { metric: e.metric, analysis })
-            .collect();
         let encoder = FeatureEncoder::fit(&self.table, cfg.classes);
         let model = train(ModelKind::Dt, &encoder.encode(&self.table).view(), cfg.classes);
         let distribution = class_distribution(&self.table, cfg.classes);
@@ -305,8 +322,9 @@ impl AnalyticsSession {
     }
 
     /// Validate and apply one event batch — atomic: on `Err` the session is
-    /// unchanged. On success the touched networks are re-inferred and the
-    /// derived analytics cache is invalidated.
+    /// unchanged. On success the networks a snapshot touched are
+    /// re-inferred, those that only received tickets are re-counted, and
+    /// the derived analytics cache is invalidated.
     pub fn ingest(&mut self, batch: IngestBatch) -> Result<IngestOutcome, IngestError> {
         // Validate everything before mutating anything. The only push-time
         // failure the archive knows is time going backwards per device, so
@@ -335,6 +353,7 @@ impl AnalyticsSession {
         // arrival order — the same order a batch load of the extended
         // corpus would intern them in.
         let mut dirty: BTreeSet<usize> = BTreeSet::new();
+        let mut ticketed: BTreeSet<usize> = BTreeSet::new();
         let n_snapshots = batch.snapshots.len();
         let n_tickets = batch.tickets.len();
         for snap in batch.snapshots {
@@ -353,19 +372,26 @@ impl AnalyticsSession {
         }
         for ticket in batch.tickets {
             // mpa-lint: allow(R7) -- the validation pass above rejected unknown networks before any mutation
-            dirty.insert(self.network_index[&ticket.network]);
+            ticketed.insert(self.network_index[&ticket.network]);
             self.dataset.tickets.push(ticket);
         }
         self.events_applied += (n_snapshots + n_tickets) as u64;
 
-        // Re-infer only the touched networks, against a context rebuilt
-        // from the grown dataset (ticket counts and line classes are pure
-        // functions of it). Each call reproduces exactly the rows a cold
-        // batch run over the extended corpus would emit for that network.
-        let ctx = NetworkInferCtx::new(&self.dataset, self.config.delta_minutes);
+        // Bring the context up to the grown dataset (ticket counts and
+        // line classes are pure functions of it), then re-infer only the
+        // networks a snapshot touched. Each call reproduces exactly the
+        // rows a cold batch run over the extended corpus would emit for
+        // that network. Tickets change no row's practice metrics, only its
+        // ticket count, so a network that got tickets alone re-reads those.
+        self.ctx.extend(&self.dataset);
         for &ix in &dirty {
-            let (_, cases, _) = ctx.infer_network(&self.dataset, &self.dataset.networks[ix]);
+            let (_, cases, _) = self.ctx.infer_network(&self.dataset, &self.dataset.networks[ix]);
             self.per_network[ix] = cases;
+        }
+        for &ix in ticketed.difference(&dirty) {
+            for case in &mut self.per_network[ix] {
+                case.tickets = self.ctx.tickets(case.network, case.month);
+            }
         }
         mpa_obs::counters::SERVE_NETWORKS_REINFERRED.add(dirty.len() as u64);
 
@@ -379,6 +405,7 @@ impl AnalyticsSession {
             snapshots: n_snapshots,
             tickets: n_tickets,
             networks_reinferred: dirty.len(),
+            events_applied: self.events_applied,
         })
     }
 }
@@ -450,7 +477,9 @@ mod tests {
             .expect("valid batch");
         assert_eq!(outcome.snapshots, 1);
         assert_eq!(outcome.tickets, 1);
-        assert_eq!(outcome.networks_reinferred, 2);
+        // The snapshot's network is re-inferred; the ticket's is re-counted.
+        assert_eq!(outcome.networks_reinferred, 1);
+        assert_eq!(outcome.events_applied, 2);
         assert_eq!(session.events_applied(), 2);
 
         let cold = AnalyticsSession::new(extended, SessionConfig::default());

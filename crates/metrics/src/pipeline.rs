@@ -60,33 +60,14 @@ pub fn infer_case_table(dataset: &Dataset) -> CaseTable {
 /// Run the full inference pipeline with an explicit event window, using
 /// the delta-native engine.
 pub fn infer(dataset: &Dataset, delta_minutes: u64) -> Inference {
-    infer_networks(dataset, &NetworkInferCtx::new(dataset, delta_minutes))
+    NetworkInferCtx::new(dataset, delta_minutes).infer(dataset)
 }
 
 /// [`infer`] through the full-parse oracle: every distinct snapshot text
 /// is materialized and parsed whole. Byte-identical to [`infer`] by
 /// contract; the equivalence tests are its only callers.
 pub fn infer_full(dataset: &Dataset, delta_minutes: u64) -> Inference {
-    infer_networks(dataset, &NetworkInferCtx::build(dataset, delta_minutes, None))
-}
-
-fn infer_networks(dataset: &Dataset, ctx: &NetworkInferCtx) -> Inference {
-    // Each network's inference reads only shared immutable state (dataset,
-    // ticket counts, line classes) and produces its own case rows, so
-    // networks fan out across worker threads; merging in network order
-    // keeps the CaseTable identical to a sequential run at any thread
-    // count.
-    let per_network =
-        mpa_exec::par_map(&dataset.networks, |_, network| ctx.infer_network(dataset, network));
-
-    let mut all_cases = Vec::new();
-    let mut device_changes_by_net: BTreeMap<NetworkId, Vec<DeviceChange>> = BTreeMap::new();
-    for (network_id, cases, net_changes) in per_network {
-        all_cases.extend(cases);
-        device_changes_by_net.insert(network_id, net_changes);
-    }
-
-    Inference { table: CaseTable::new(all_cases), device_changes: device_changes_by_net }
+    NetworkInferCtx::build(dataset, delta_minutes, None).infer(dataset)
 }
 
 /// Shared read-only context for inferring individual networks against a
@@ -94,16 +75,19 @@ fn infer_networks(dataset: &Dataset, ctx: &NetworkInferCtx) -> Inference {
 /// classification, both pure functions of the dataset's ticket stream and
 /// archive intern table.
 ///
-/// [`infer`] builds one per batch run; long-lived callers (the
-/// `mpa-serve` resident session) rebuild it whenever the archive or ticket
-/// stream grows and then re-infer only the networks an ingested event
-/// touched. Because [`Self::infer_network`] is the exact parallel unit of
-/// the batch pipeline and reads nothing but this context plus the dataset,
-/// a per-network re-inference is byte-identical to what a cold batch run
+/// [`infer`] builds one per batch run; a long-lived caller (the
+/// `mpa-serve` resident session) keeps one, brings it up to date with
+/// [`Self::extend`] whenever the archive or ticket stream grows, and then
+/// re-infers only the networks an ingested snapshot touched. Because
+/// [`Self::infer_network`] is the exact parallel unit of the batch
+/// pipeline and reads nothing but this context plus the dataset, a
+/// per-network re-inference is byte-identical to what a cold batch run
 /// over the same (grown) dataset would produce for that network — the
 /// foundation of the daemon's ingest-equals-batch guarantee.
 pub struct NetworkInferCtx {
     tickets: BTreeMap<(NetworkId, usize), f64>,
+    /// Length of the ticket stream `tickets` has counted.
+    tickets_counted: usize,
     classes: Option<LineClasses>,
     n_months: usize,
     delta_minutes: u64,
@@ -121,17 +105,66 @@ impl NetworkInferCtx {
     /// `classes` selects the engine for `infer_network`: `Some` runs
     /// delta-native inference, `None` the full-parse oracle.
     fn build(dataset: &Dataset, delta_minutes: u64, classes: Option<LineClasses>) -> Self {
-        // Incident tickets per (network, month).
-        let mut tickets: BTreeMap<(NetworkId, usize), f64> = BTreeMap::new();
-        for t in &dataset.tickets {
+        let mut ctx = Self {
+            tickets: BTreeMap::new(),
+            tickets_counted: 0,
+            classes,
+            n_months: dataset.period.n_months(),
+            delta_minutes,
+        };
+        ctx.count_tickets(dataset);
+        ctx
+    }
+
+    /// Count each ticket `dataset` appended since the last count that
+    /// counts toward health, against its `(network, month)`.
+    fn count_tickets(&mut self, dataset: &Dataset) {
+        for t in dataset.tickets.get(self.tickets_counted..).unwrap_or_default() {
             if !t.kind.counts_toward_health() {
                 continue;
             }
             if let Some(m) = dataset.period.month_of(t.opened) {
-                *tickets.entry((t.network, m)).or_insert(0.0) += 1.0;
+                *self.tickets.entry((t.network, m)).or_insert(0.0) += 1.0;
             }
         }
-        Self { tickets, classes, n_months: dataset.period.n_months(), delta_minutes }
+        self.tickets_counted = dataset.tickets.len();
+    }
+
+    /// Catch up with `dataset` after it grew (its archive and ticket
+    /// stream only append): classify the newly interned lines and count
+    /// the new tickets. The result equals a context built afresh from the
+    /// grown dataset.
+    pub fn extend(&mut self, dataset: &Dataset) {
+        if let Some(classes) = self.classes.as_mut() {
+            classes.extend(&dataset.archive);
+        }
+        self.count_tickets(dataset);
+    }
+
+    /// The health-counting tickets of `network` opened in `month`: the
+    /// `tickets` field of that case row.
+    pub fn tickets(&self, network: NetworkId, month: usize) -> f64 {
+        self.tickets.get(&(network, month)).copied().unwrap_or(0.0)
+    }
+
+    /// Infer every network of `dataset` into one case table.
+    pub fn infer(&self, dataset: &Dataset) -> Inference {
+        // Each network's inference reads only shared immutable state
+        // (dataset, ticket counts, line classes) and produces its own case
+        // rows, so networks fan out across worker threads; merging in
+        // network order keeps the CaseTable identical to a sequential run
+        // at any thread count.
+        let per_network =
+            mpa_exec::par_map(&dataset.networks, |_, network| self.infer_network(dataset, network));
+
+        let mut all_cases = Vec::new();
+        let mut device_changes_by_net: BTreeMap<NetworkId, Vec<DeviceChange>> = BTreeMap::new();
+        for (network_id, cases, net_changes) in per_network {
+            all_cases.extend(cases);
+            device_changes_by_net.insert(network_id, net_changes);
+        }
+
+        Inference { table: CaseTable::new(all_cases), device_changes: device_changes_by_net }
     }
 
     /// Infer one network's case rows and change records. `dataset` must be
@@ -141,28 +174,18 @@ impl NetworkInferCtx {
         dataset: &Dataset,
         network: &mpa_model::Network,
     ) -> (NetworkId, Vec<Case>, Vec<DeviceChange>) {
-        infer_network(
-            dataset,
-            network,
-            &self.tickets,
-            self.n_months,
-            self.delta_minutes,
-            self.classes.as_ref(),
-        )
+        infer_network(dataset, network, self)
     }
 }
 
 /// Infer all case rows and change records for one network (pure w.r.t. the
-/// shared dataset; the parallel unit of `infer`). `classes` selects the
-/// engine: `Some` runs delta-native inference, `None` the full-parse
-/// oracle.
+/// shared dataset; the parallel unit of `infer`). The context's line
+/// classes select the engine: present, delta-native inference; absent,
+/// the full-parse oracle.
 fn infer_network(
     dataset: &Dataset,
     network: &mpa_model::Network,
-    tickets: &BTreeMap<(NetworkId, usize), f64>,
-    n_months: usize,
-    delta_minutes: u64,
-    classes: Option<&LineClasses>,
+    ctx: &NetworkInferCtx,
 ) -> (NetworkId, Vec<Case>, Vec<DeviceChange>) {
     let mut all_cases = Vec::new();
     let roles: BTreeMap<DeviceId, Role> =
@@ -172,11 +195,11 @@ fn infer_network(
     let mut net_changes: Vec<DeviceChange> = Vec::new();
     // facts_by_month[m][device] = facts at end of month m.
     let mut facts_by_month: Vec<BTreeMap<DeviceId, ConfigFacts>> =
-        vec![BTreeMap::new(); n_months];
+        vec![BTreeMap::new(); ctx.n_months];
 
     // One engine serves every device of the network, so segment parses
     // are shared across devices — stanzas repeat heavily within a network.
-    let mut engine = classes.map(|c| DeltaInference::new(&dataset.archive, c));
+    let mut engine = ctx.classes.as_ref().map(|c| DeltaInference::new(&dataset.archive, c));
     let mut pairs: Vec<(KeyId, ChangeAction)> = Vec::new();
     for device in &network.devices {
         let metas = dataset.archive.device_metas(device.id);
@@ -224,7 +247,7 @@ fn infer_network(
             .filter(|c| c.time >= start && c.time < end)
             .cloned()
             .collect();
-        let events = group_events(&month_changes, delta_minutes);
+        let events = group_events(&month_changes, ctx.delta_minutes);
 
         let design = compute_design(network, month_facts);
 
@@ -299,7 +322,7 @@ fn infer_network(
             network: network.id,
             month,
             values,
-            tickets: tickets.get(&(network.id, month)).copied().unwrap_or(0.0),
+            tickets: ctx.tickets(network.id, month),
         });
     }
 

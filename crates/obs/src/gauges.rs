@@ -42,8 +42,8 @@ impl Gauge {
 pub static EXEC_THREADS: Gauge = Gauge::new("exec_threads");
 
 /// Serve request latency, 50th percentile in microseconds, over the
-/// daemon's whole life (set from its internal reservoir when the daemon
-/// drains). Latencies are measurements, not work: they belong in gauges,
+/// daemon's whole life (set from its log-scale latency buckets when the
+/// daemon drains, as the bucket's upper bound). Latencies are measurements, not work: they belong in gauges,
 /// which — unlike counters — are allowed to vary run to run.
 pub static SERVE_LATENCY_P50_US: Gauge = Gauge::new("serve_latency_p50_us");
 /// Serve request latency, 99th percentile in microseconds.

@@ -9,7 +9,8 @@
 //! The dataset is loaded and inferred once; queries are answered from the
 //! resident state and `POST /ingest` grows it online (see the crate
 //! docs). On shutdown the run report (`--obs-out`) carries the serve
-//! counters, latency gauges and per-endpoint spans.
+//! counters, the latency and queue gauges and the session build span; it
+//! holds no per-request nodes, so its size does not grow with uptime.
 
 use mpa_core::predict::HealthClasses;
 use mpa_core::{AnalyticsSession, SessionConfig};

@@ -17,9 +17,11 @@
 //! * Shutdown (POST `/shutdown`, or `--idle-secs` with no traffic) stops
 //!   accepting, lets in-flight connections drain, closes the ingest
 //!   queue, then records latency percentiles and queue high-water into
-//!   the observability gauges. The workspace denies `unsafe`, so there is
-//!   deliberately no signal handler; supervisors use the HTTP shutdown or
-//!   the idle deadline instead.
+//!   the observability gauges. Latencies live in fixed log-scale buckets
+//!   of relaxed atomics, so a request takes no lock to record one and a
+//!   daemon's bookkeeping does not grow with its uptime. The workspace
+//!   denies `unsafe`, so there is deliberately no signal handler;
+//!   supervisors use the HTTP shutdown or the idle deadline instead.
 
 use crate::http::{self, ReadError, Request};
 use crate::views;
@@ -57,9 +59,8 @@ struct Shared {
     /// Submitted-but-unapplied ingest batches, and the deepest that got.
     queue_depth: AtomicU64,
     queue_peak: AtomicU64,
-    /// Per-request latencies in microseconds (drained into gauges at
-    /// shutdown).
-    latencies_us: Mutex<Vec<u64>>,
+    /// Per-request latencies (read into gauges at shutdown).
+    latencies: Latencies,
     ingest_tx: Mutex<Option<SyncSender<IngestJob>>>,
 }
 
@@ -97,7 +98,7 @@ impl Server {
             last_activity_ms: AtomicU64::new(0),
             queue_depth: AtomicU64::new(0),
             queue_peak: AtomicU64::new(0),
-            latencies_us: Mutex::new(Vec::new()),
+            latencies: Latencies::default(),
             ingest_tx: Mutex::new(None),
         });
         let (tx, rx) = mpsc::sync_channel(INGEST_QUEUE_CAP);
@@ -159,20 +160,79 @@ impl Server {
         drop(self.shared.ingest_tx.lock().unwrap_or_else(PoisonError::into_inner).take());
         let _ = self.ingest_worker.join();
 
-        let mut lat = self
-            .shared
-            .latencies_us
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        lat.sort_unstable();
-        if let Some(&max) = lat.last() {
-            let at = |i: usize| lat.get(i).copied().unwrap_or(max);
-            gauges::SERVE_LATENCY_P50_US.set(at(lat.len() / 2));
-            gauges::SERVE_LATENCY_P99_US.set(at(lat.len() * 99 / 100));
-            gauges::SERVE_LATENCY_MAX_US.set(max);
+        let lat = &self.shared.latencies;
+        if let (Some(p50), Some(p99)) = (lat.quantile(1, 2), lat.quantile(99, 100)) {
+            gauges::SERVE_LATENCY_P50_US.set(p50);
+            gauges::SERVE_LATENCY_P99_US.set(p99);
+            gauges::SERVE_LATENCY_MAX_US.set(lat.max_us.load(Ordering::Relaxed));
         }
         gauges::SERVE_QUEUE_PEAK.set(self.shared.queue_peak.load(Ordering::Relaxed));
         Ok(())
+    }
+}
+
+/// Sub-buckets per power of two in [`Latencies`] (`1 << LATENCY_SUB_BITS`).
+const LATENCY_SUB_BITS: u32 = 2;
+const LATENCY_SUB: u64 = 1 << LATENCY_SUB_BITS;
+/// Buckets up to `u64::MAX` µs.
+const LATENCY_BUCKETS: usize = (65 - LATENCY_SUB_BITS as usize) * LATENCY_SUB as usize;
+
+/// Request latencies in microseconds, counted in fixed log-scale buckets
+/// of relaxed atomics. Below `LATENCY_SUB` µs a bucket holds one value;
+/// above, each power of two splits into `LATENCY_SUB` equal buckets, so a
+/// bucket is at most a quarter as wide as its lower bound. The maximum is
+/// kept exactly.
+struct Latencies {
+    buckets: [AtomicU64; LATENCY_BUCKETS],
+    max_us: AtomicU64,
+}
+
+impl Default for Latencies {
+    fn default() -> Self {
+        Self { buckets: std::array::from_fn(|_| AtomicU64::new(0)), max_us: AtomicU64::new(0) }
+    }
+}
+
+impl Latencies {
+    fn bucket(us: u64) -> usize {
+        if us < LATENCY_SUB {
+            return us as usize;
+        }
+        let shift = 63 - us.leading_zeros() - LATENCY_SUB_BITS;
+        let sub = (us >> shift) & (LATENCY_SUB - 1);
+        ((u64::from(shift) + 1) * LATENCY_SUB + sub) as usize
+    }
+
+    /// The largest latency bucket `i` holds.
+    fn upper_bound(i: usize) -> u64 {
+        let i = i as u64;
+        if i < LATENCY_SUB {
+            return i;
+        }
+        let shift = i / LATENCY_SUB - 1;
+        let lower = (LATENCY_SUB + i % LATENCY_SUB) << shift;
+        lower + ((1u64 << shift) - 1)
+    }
+
+    fn record(&self, us: u64) {
+        if let Some(b) = self.buckets.get(Self::bucket(us)) {
+            b.fetch_add(1, Ordering::Relaxed);
+        }
+        self.max_us.fetch_max(us, Ordering::Relaxed);
+    }
+
+    /// The latency at rank `count · num / den` (0-based) in ascending
+    /// order, as its bucket's upper bound capped at the maximum; `None`
+    /// before the first request.
+    fn quantile(&self, num: u64, den: u64) -> Option<u64> {
+        let counts: Vec<u64> = self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
+        let rank = counts.iter().sum::<u64>() * num / den;
+        let mut seen = 0;
+        let i = counts.iter().position(|&c| {
+            seen += c;
+            seen > rank
+        })?;
+        Some(Self::upper_bound(i).min(self.max_us.load(Ordering::Relaxed)))
     }
 }
 
@@ -214,11 +274,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
                     break;
                 }
                 let us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-                shared
-                    .latencies_us
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push(us);
+                shared.latencies.record(us);
                 if !keep {
                     break;
                 }
@@ -252,10 +308,10 @@ fn route(shared: &Arc<Shared>, req: &Request) -> (u16, String) {
     counters::SERVE_REQUESTS.add(1);
     let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
     match segments.as_slice() {
-        ["healthz"] => get_only(req, "GET /healthz", || (200, views::healthz(&shared.read()))),
+        ["healthz"] => get_only(req, || (200, views::healthz(&shared.read()))),
         ["networks", id, "practices"] => {
             let id = *id;
-            get_only(req, "GET /networks/:id/practices", || {
+            get_only(req, || {
                 let Ok(id) = id.parse::<u32>() else {
                     return (400, views::error_body("network id must be an unsigned integer"));
                 };
@@ -265,15 +321,15 @@ fn route(shared: &Arc<Shared>, req: &Request) -> (u16, String) {
                 }
             })
         }
-        ["rankings", "mi"] => get_only(req, "GET /rankings/mi", || {
-            with_analytics(shared, |_, a| views::mi_ranking(a))
-        }),
-        ["causal", "summary"] => get_only(req, "GET /causal/summary", || {
-            with_analytics(shared, |_, a| views::causal_summary(a))
-        }),
-        ["predict"] => get_only(req, "GET /predict", || predict(shared, req)),
-        ["ingest"] => post_only(req, "POST /ingest", || ingest(shared, req)),
-        ["shutdown"] => post_only(req, "POST /shutdown", || {
+        ["rankings", "mi"] => {
+            get_only(req, || with_analytics(shared, |_, a| views::mi_ranking(a)))
+        }
+        ["causal", "summary"] => {
+            get_only(req, || with_analytics(shared, |_, a| views::causal_summary(a)))
+        }
+        ["predict"] => get_only(req, || predict(shared, req)),
+        ["ingest"] => post_only(req, || ingest(shared, req)),
+        ["shutdown"] => post_only(req, || {
             shared.shutdown.store(true, Ordering::Release);
             (200, "{\"status\": \"draining\"}".to_string())
         }),
@@ -281,18 +337,18 @@ fn route(shared: &Arc<Shared>, req: &Request) -> (u16, String) {
     }
 }
 
-fn get_only(req: &Request, label: &str, f: impl FnOnce() -> (u16, String)) -> (u16, String) {
+fn get_only(req: &Request, f: impl FnOnce() -> (u16, String)) -> (u16, String) {
     if req.method != "GET" {
         return (405, views::error_body("method not allowed (use GET)"));
     }
-    mpa_obs::span(label, f)
+    f()
 }
 
-fn post_only(req: &Request, label: &str, f: impl FnOnce() -> (u16, String)) -> (u16, String) {
+fn post_only(req: &Request, f: impl FnOnce() -> (u16, String)) -> (u16, String) {
     if req.method != "POST" {
         return (405, views::error_body("method not allowed (use POST)"));
     }
-    mpa_obs::span(label, f)
+    f()
 }
 
 fn with_analytics(
@@ -353,13 +409,15 @@ fn ingest(shared: &Shared, req: &Request) -> (u16, String) {
         Ok(Ok(outcome)) => {
             counters::SERVE_INGEST_SNAPSHOTS.add(outcome.snapshots as u64);
             counters::SERVE_INGEST_TICKETS.add(outcome.tickets as u64);
-            let events = shared.read().events_applied();
             (
                 200,
                 format!(
                     "{{\"status\": \"applied\", \"snapshots\": {}, \"tickets\": {}, \
-                     \"networks_reinferred\": {}, \"events_applied\": {events}}}",
-                    outcome.snapshots, outcome.tickets, outcome.networks_reinferred
+                     \"networks_reinferred\": {}, \"events_applied\": {}}}",
+                    outcome.snapshots,
+                    outcome.tickets,
+                    outcome.networks_reinferred,
+                    outcome.events_applied
                 ),
             )
         }
@@ -368,5 +426,40 @@ fn ingest(shared: &Shared, req: &Request) -> (u16, String) {
             (422, views::error_body(&e.to_string()))
         }
         Err(_) => (503, views::error_body("shutting down")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_latency_lands_in_the_bucket_that_bounds_it() {
+        let mut probes: Vec<u64> = (0..4096).collect();
+        probes.extend((12..64).flat_map(|e| [(1u64 << e) - 1, 1 << e, (1 << e) + 1]));
+        probes.push(u64::MAX);
+        for us in probes {
+            let i = Latencies::bucket(us);
+            assert!(i < LATENCY_BUCKETS, "{us} µs");
+            assert!(Latencies::upper_bound(i) >= us, "{us} µs above bucket {i}");
+            if i > 0 {
+                assert!(Latencies::upper_bound(i - 1) < us, "{us} µs fits bucket {}", i - 1);
+            }
+        }
+    }
+
+    #[test]
+    fn quantiles_are_ordered_and_capped_at_the_maximum() {
+        let lat = Latencies::default();
+        assert_eq!(lat.quantile(1, 2), None);
+        for us in (1..=1000).chain([250_000]) {
+            lat.record(us);
+        }
+        let (p50, p99) = (lat.quantile(1, 2).unwrap(), lat.quantile(99, 100).unwrap());
+        let max = lat.max_us.load(Ordering::Relaxed);
+        assert!((500..=640).contains(&p50), "p50 {p50}");
+        assert!((990..=1023).contains(&p99), "p99 {p99}");
+        assert_eq!(max, 250_000);
+        assert_eq!(lat.quantile(1000, 1001), Some(max), "the top bucket is capped");
     }
 }

@@ -142,15 +142,11 @@ pub fn causal_summary(analytics: &Analytics) -> String {
     let cfg = &analytics.causal_config;
     let mut out = String::with_capacity(512);
     out.push_str(&format!("{{\"top\": {}, \"rows\": [", analytics.causal.len()));
-    let mut first = true;
-    for row in &analytics.causal {
-        let Some(c) = row.analysis.low_bin_comparison() else {
-            continue;
-        };
-        if !first {
+    for (i, row) in analytics.causal.iter().enumerate() {
+        let c = &row.comparison;
+        if i > 0 {
             out.push_str(", ");
         }
-        first = false;
         out.push_str("{\"treatment\": ");
         push_str_literal(&mut out, row.metric.name());
         out.push_str(&format!(", \"pairs\": {}", c.n_pairs));

@@ -11,9 +11,12 @@
 //!   batch (which the root `serve_session` property test in turn pins to
 //!   a cold batch run);
 //! * malformed requests get 4xx responses, never a hung or dead daemon;
+//! * two clients ingesting at once each hear the event count right after
+//!   their own batch;
 //! * graceful shutdown after load — 4 keep-alive clients and interleaved
 //!   ingests get only 2xx responses; the daemon then drains, exits 0, and
-//!   writes an obs report whose counters account for every request;
+//!   writes an obs report whose counters account for every request, with
+//!   latency gauges and no per-request span;
 //! * `--idle-secs` lets the daemon retire itself.
 
 use mpa_core::{AnalyticsSession, IngestBatch, SessionConfig};
@@ -424,21 +427,89 @@ fn graceful_shutdown_drains_and_writes_the_obs_report() {
     let text = std::fs::read_to_string(&report).expect("obs report written on shutdown");
     let _ = std::fs::remove_file(&report);
     assert!(text.contains("serve build session"), "report lacks the session build span");
+    for method in ["GET", "POST"] {
+        let node = format!("\"label\": \"{method} ");
+        assert!(!text.contains(&node), "report holds a per-request {method} span");
+    }
     let report: serde::Value = serde_json::from_str(&text).expect("report is JSON");
-    let counter = |name: &str| -> u64 {
-        let counters = report.as_object().and_then(|o| o.iter().find(|(k, _)| k == "counters"));
-        let value = counters
+    let number = |section: &str, name: &str| -> u64 {
+        let section = report.as_object().and_then(|o| o.iter().find(|(k, _)| k == section));
+        let value = section
             .and_then(|(_, c)| c.as_object())
             .and_then(|c| c.iter().find(|(k, _)| k == name))
             .map(|(_, v)| v);
         match value {
             Some(serde::Value::Num(serde::Number::U64(n))) => *n,
             Some(serde::Value::Num(serde::Number::I64(n))) => u64::try_from(*n).expect("count"),
-            other => panic!("counter {name}: {other:?}"),
+            other => panic!("{name}: {other:?}"),
         }
     };
-    assert_eq!(counter("serve_responses_2xx"), REQUESTS as u64 + 1);
-    assert_eq!(counter("serve_ingest_tickets"), (REQUESTS / INGEST_EVERY) as u64);
+    assert_eq!(number("counters", "serve_responses_2xx"), REQUESTS as u64 + 1);
+    assert_eq!(number("counters", "serve_ingest_tickets"), (REQUESTS / INGEST_EVERY) as u64);
+    let [p50, p99, max] = ["p50", "p99", "max"]
+        .map(|q| number("gauges", &format!("serve_latency_{q}_us")));
+    assert!(0 < p50 && p50 <= p99 && p99 <= max, "latency gauges {p50} {p99} {max}");
+}
+
+#[test]
+fn concurrent_ingest_replies_count_their_own_batch() {
+    // Two clients post one-ticket batches at once; each reply must carry
+    // the event count right after its own batch, so across both clients
+    // the replies read 1..=2N, each once.
+    const PER_CLIENT: u32 = 12;
+    let daemon = Daemon::spawn(&[]);
+    let session = tiny_session();
+    let net = session.dataset().networks[0].id;
+    let horizon = session.dataset().period.total_minutes();
+    let start = std::sync::Barrier::new(2);
+    let mut replies: Vec<u64> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..2u32)
+            .map(|client| {
+                let (addr, start) = (&daemon.addr, &start);
+                scope.spawn(move || {
+                    let stream = TcpStream::connect(addr).expect("connect to daemon");
+                    stream.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+                    let mut conn = BufReader::new(stream);
+                    start.wait();
+                    (0..PER_CLIENT)
+                        .map(|k| {
+                            let batch = IngestBatch {
+                                snapshots: vec![],
+                                tickets: vec![Ticket {
+                                    id: TicketId(92_000_000 + client * 1_000 + k),
+                                    network: net,
+                                    kind: TicketKind::MonitoringAlarm,
+                                    opened: Timestamp(horizon / 2),
+                                    resolved: None,
+                                    devices: vec![],
+                                    severity: TicketSeverity::Low,
+                                    symptom: "concurrent ingest".to_string(),
+                                }],
+                            };
+                            let body = serde_json::to_string(&batch).expect("serializes");
+                            let request = format!(
+                                "POST /ingest HTTP/1.1\r\nHost: test\r\n\
+                                 Content-Length: {}\r\n\r\n{body}",
+                                body.len()
+                            );
+                            let (status, reply) =
+                                exchange(&mut conn, &request).expect("ingest answered");
+                            assert_eq!(status, 200, "reply: {reply}");
+                            let count = reply
+                                .split("\"events_applied\": ")
+                                .nth(1)
+                                .and_then(|rest| rest.split('}').next())
+                                .and_then(|n| n.parse().ok());
+                            count.unwrap_or_else(|| panic!("no events_applied in {reply}"))
+                        })
+                        .collect::<Vec<u64>>()
+                })
+            })
+            .collect();
+        clients.into_iter().flat_map(|c| c.join().expect("client thread")).collect()
+    });
+    replies.sort_unstable();
+    assert_eq!(replies, (1..=2 * u64::from(PER_CLIENT)).collect::<Vec<u64>>());
 }
 
 #[test]

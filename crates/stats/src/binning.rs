@@ -9,7 +9,7 @@
 //! Ten bins are used for dependence analysis; five for treatment assignment
 //! in the causal QED (§5.2.2) and for learning (§6.1).
 
-use crate::summary::percentile;
+use crate::summary::select_percentile;
 use serde::{Deserialize, Serialize};
 
 /// An equal-width binner with percentile-bounded range and outlier clamping.
@@ -35,8 +35,9 @@ impl Binner {
         if values.is_empty() {
             return Self { lo: 0.0, hi: 0.0, n_bins };
         }
-        let lo = percentile(values, p_lo);
-        let hi = percentile(values, p_hi);
+        let mut scratch = values.to_vec();
+        let lo = select_percentile(&mut scratch, p_lo);
+        let hi = select_percentile(&mut scratch, p_hi);
         Self { lo, hi, n_bins }
     }
 
@@ -155,6 +156,55 @@ mod tests {
         let bins = b.bin_all(&values);
         let distinct: std::collections::BTreeSet<_> = bins.iter().copied().collect();
         assert!(distinct.len() >= 9, "bulk should occupy most bins, got {distinct:?}");
+    }
+
+    /// The bounds' oracle: sort the whole column, then interpolate.
+    fn sorted_percentile(values: &[f64], p: f64) -> f64 {
+        let mut sorted = values.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        crate::summary::percentile_sorted(&sorted, p)
+    }
+
+    /// Any bit pattern (NaNs of every payload and sign included), the
+    /// signed zeros and infinities, and small integers for ties.
+    fn any_f64() -> impl Strategy<Value = f64> {
+        const SPECIAL: [f64; 6] =
+            [0.0, -0.0, f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        prop_oneof![
+            (0u64..u64::MAX).prop_map(f64::from_bits),
+            (0usize..SPECIAL.len()).prop_map(|i| SPECIAL[i]),
+            (-3i64..4).prop_map(|v| v as f64),
+        ]
+    }
+
+    #[test]
+    fn one_and_two_values_select_like_a_sort() {
+        for values in [vec![-0.0], vec![f64::NAN], vec![0.0, -0.0], vec![f64::NAN, 1.0]] {
+            for p in [0.0, 5.0, 50.0, 95.0, 100.0] {
+                let want = sorted_percentile(&values, p).to_bits();
+                assert_eq!(crate::percentile(&values, p).to_bits(), want, "{values:?} p{p}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn selected_bounds_equal_sorted_bounds_bit_for_bit(
+            values in proptest::collection::vec(any_f64(), 1..40),
+        ) {
+            let ps = [0.0, 5.0, 50.0, 95.0, 100.0];
+            for (i, &p_lo) in ps.iter().enumerate() {
+                let want_lo = sorted_percentile(&values, p_lo).to_bits();
+                prop_assert_eq!(crate::percentile(&values, p_lo).to_bits(), want_lo);
+                for &p_hi in &ps[i + 1..] {
+                    let b = Binner::fit_percentile(&values, 10, p_lo, p_hi);
+                    prop_assert_eq!(b.lo().to_bits(), want_lo);
+                    prop_assert_eq!(b.hi().to_bits(), sorted_percentile(&values, p_hi).to_bits());
+                }
+            }
+        }
     }
 
     proptest! {

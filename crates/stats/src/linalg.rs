@@ -1,9 +1,10 @@
 //! Minimal dense linear algebra: exactly what IRLS needs.
 //!
-//! A row-major [`Matrix`] with multiplication helpers and a Cholesky solver
-//! for symmetric positive-definite systems. Propensity-score models have at
-//! most a few dozen features, so an O(p³) solve is instantaneous; clarity and
-//! determinism beat sophistication here.
+//! A row-major [`Matrix`] and a Cholesky solver for symmetric
+//! positive-definite systems; IRLS forms its own products (`logistic`).
+//! Propensity-score models have at most a few dozen features, so an O(p³)
+//! solve is instantaneous; clarity and determinism beat sophistication
+//! here.
 
 use serde::{Deserialize, Serialize};
 
@@ -19,92 +20,6 @@ impl Matrix {
     /// Zero matrix.
     pub fn zeros(rows: usize, cols: usize) -> Self {
         Self { rows, cols, data: vec![0.0; rows * cols] }
-    }
-
-    /// Build from row-major data.
-    ///
-    /// # Panics
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_rows(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "shape mismatch");
-        Self { rows, cols, data }
-    }
-
-    /// Identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
-    /// Number of rows.
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    #[inline]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Matrix–vector product.
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch.
-    pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(v.len(), self.cols, "matvec dimension mismatch");
-        let mut out = vec![0.0; self.rows];
-        for (o, row) in out.iter_mut().zip(self.data.chunks_exact(self.cols)) {
-            *o = row.iter().zip(v).map(|(a, b)| a * b).sum();
-        }
-        out
-    }
-
-    /// `Aᵀ · diag(w) · A`, the weighted Gram matrix at the heart of IRLS.
-    ///
-    /// # Panics
-    /// Panics if `w.len() != self.rows()`.
-    pub fn weighted_gram(&self, w: &[f64]) -> Matrix {
-        assert_eq!(w.len(), self.rows, "weight vector length mismatch");
-        let p = self.cols;
-        let mut g = Matrix::zeros(p, p);
-        for (row, &wr) in self.data.chunks_exact(p).zip(w) {
-            if wr == 0.0 {
-                continue;
-            }
-            for i in 0..p {
-                let wi = wr * row[i];
-                for j in i..p {
-                    g[(i, j)] += wi * row[j];
-                }
-            }
-        }
-        // Mirror the upper triangle.
-        for i in 0..p {
-            for j in 0..i {
-                g[(i, j)] = g[(j, i)];
-            }
-        }
-        g
-    }
-
-    /// `Aᵀ · v` where `v` has one entry per row.
-    ///
-    /// # Panics
-    /// Panics if `v.len() != self.rows()`.
-    pub fn t_matvec(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(v.len(), self.rows, "t_matvec dimension mismatch");
-        let mut out = vec![0.0; self.cols];
-        for (row, &vr) in self.data.chunks_exact(self.cols).zip(v) {
-            for (o, &a) in out.iter_mut().zip(row) {
-                *o += a * vr;
-            }
-        }
-        out
     }
 
     /// Solve `A·x = b` for symmetric positive-definite `A` via Cholesky,
@@ -190,40 +105,23 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
 mod tests {
     use super::*;
 
-    #[test]
-    fn matvec_identity() {
-        let m = Matrix::identity(3);
-        assert_eq!(m.matvec(&[1.0, 2.0, 3.0]), vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn matvec_rectangular() {
-        let m = Matrix::from_rows(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(m.matvec(&[1.0, 1.0, 1.0]), vec![6.0, 15.0]);
-        assert_eq!(m.t_matvec(&[1.0, 1.0]), vec![5.0, 7.0, 9.0]);
-    }
-
-    #[test]
-    fn weighted_gram_unit_weights_is_ata() {
-        let m = Matrix::from_rows(3, 2, vec![1.0, 0.0, 0.0, 1.0, 1.0, 1.0]);
-        let g = m.weighted_gram(&[1.0, 1.0, 1.0]);
-        assert_eq!(g[(0, 0)], 2.0);
-        assert_eq!(g[(0, 1)], 1.0);
-        assert_eq!(g[(1, 0)], 1.0);
-        assert_eq!(g[(1, 1)], 2.0);
-    }
-
-    #[test]
-    fn weighted_gram_respects_weights() {
-        let m = Matrix::from_rows(2, 1, vec![1.0, 1.0]);
-        let g = m.weighted_gram(&[3.0, 5.0]);
-        assert_eq!(g[(0, 0)], 8.0);
+    /// `AᵀA` of a row-major `rows × cols` matrix.
+    fn gram(rows: usize, cols: usize, a: &[f64]) -> Matrix {
+        let mut g = Matrix::zeros(cols, cols);
+        for r in 0..rows {
+            for i in 0..cols {
+                for j in 0..cols {
+                    g[(i, j)] += a[r * cols + i] * a[r * cols + j];
+                }
+            }
+        }
+        g
     }
 
     #[test]
     fn solve_spd_recovers_solution() {
         // A = [[4,1],[1,3]], x = [1,2] → b = [6,7].
-        let a = Matrix::from_rows(2, 2, vec![4.0, 1.0, 1.0, 3.0]);
+        let a = Matrix { rows: 2, cols: 2, data: vec![4.0, 1.0, 1.0, 3.0] };
         let x = a.solve_spd(&[6.0, 7.0]).unwrap();
         assert!((x[0] - 1.0).abs() < 1e-12);
         assert!((x[1] - 2.0).abs() < 1e-12);
@@ -232,8 +130,7 @@ mod tests {
     #[test]
     fn solve_spd_handles_near_singular_with_jitter() {
         // Rank-deficient Gram matrix: columns identical.
-        let m = Matrix::from_rows(3, 2, vec![1.0, 1.0, 2.0, 2.0, 3.0, 3.0]);
-        let g = m.weighted_gram(&[1.0; 3]);
+        let g = gram(3, 2, &[1.0, 1.0, 2.0, 2.0, 3.0, 3.0]);
         let x = g.solve_spd(&[1.0, 1.0]);
         assert!(x.is_some(), "jitter should rescue the solve");
         let x = x.unwrap();
@@ -245,26 +142,22 @@ mod tests {
     #[test]
     fn solve_spd_larger_system() {
         // Build SPD A = MᵀM + I and verify A·x ≈ b round trip.
-        let m = Matrix::from_rows(
-            4,
-            3,
-            vec![1.0, 2.0, 0.5, -1.0, 0.3, 2.2, 0.0, 1.5, -0.7, 2.0, -0.2, 0.1],
-        );
-        let mut a = m.weighted_gram(&[1.0; 4]);
+        let m = [1.0, 2.0, 0.5, -1.0, 0.3, 2.2, 0.0, 1.5, -0.7, 2.0, -0.2, 0.1];
+        let mut a = gram(4, 3, &m);
         for i in 0..3 {
             a[(i, i)] += 1.0;
         }
         let b = vec![1.0, -2.0, 0.5];
         let x = a.solve_spd(&b).unwrap();
-        let back = a.matvec(&x);
-        for (bi, bb) in back.iter().zip(&b) {
-            assert!((bi - bb).abs() < 1e-9);
+        for (i, bi) in b.iter().enumerate() {
+            let back: f64 = (0..3).map(|j| a[(i, j)] * x[j]).sum();
+            assert!((back - bi).abs() < 1e-9);
         }
     }
 
     #[test]
-    #[should_panic(expected = "dimension mismatch")]
-    fn matvec_shape_mismatch_panics() {
-        Matrix::identity(2).matvec(&[1.0]);
+    #[should_panic(expected = "rhs length mismatch")]
+    fn solve_spd_shape_mismatch_panics() {
+        Matrix::zeros(2, 2).solve_spd(&[1.0]);
     }
 }

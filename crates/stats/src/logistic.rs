@@ -47,70 +47,29 @@ impl Default for LogisticConfig {
 }
 
 impl LogisticRegression {
-    /// Fit on `x` (n rows × p features, row-major as slices) against binary
-    /// labels `y`.
+    /// Fit on the rows `rows` of `x`, a row-major matrix of `p` features
+    /// per row, against binary labels `y` (`y[k]` labels row `rows[k]`).
     ///
     /// # Panics
-    /// Panics if `x` and `y` lengths differ, `x` is empty, or rows are ragged.
-    pub fn fit(x: &[Vec<f64>], y: &[bool], config: LogisticConfig) -> Self {
-        assert_eq!(x.len(), y.len(), "feature/label length mismatch");
-        assert!(!x.is_empty(), "cannot fit on an empty dataset");
-        let n = x.len();
-        let p = x[0].len();
-        for row in x {
-            assert_eq!(row.len(), p, "ragged feature matrix");
-        }
-
-        // Standardize features.
-        let mut means = vec![0.0; p];
-        let mut stds = vec![0.0; p];
-        for j in 0..p {
-            let mut s = 0.0;
-            for row in x {
-                s += row[j];
-            }
-            means[j] = s / n as f64;
-            let mut v = 0.0;
-            for row in x {
-                let d = row[j] - means[j];
-                v += d * d;
-            }
-            let sd = (v / n as f64).sqrt();
-            stds[j] = if sd > 1e-12 { sd } else { 1.0 };
-        }
-
-        // Design matrix with intercept column.
-        let mut data = Vec::with_capacity(n * (p + 1));
-        for row in x {
-            data.push(1.0);
-            for j in 0..p {
-                data.push((row[j] - means[j]) / stds[j]);
-            }
-        }
-        let design = Matrix::from_rows(n, p + 1, data);
-        let yv: Vec<f64> = y.iter().map(|&b| if b { 1.0 } else { 0.0 }).collect();
-
+    /// Panics if `rows` and `y` lengths differ, `rows` is empty, or a row
+    /// lies outside `x`.
+    pub fn fit(x: &[f64], p: usize, rows: &[usize], y: &[bool], config: LogisticConfig) -> Self {
+        assert_eq!(rows.len(), y.len(), "feature/label length mismatch");
+        assert!(!rows.is_empty(), "cannot fit on an empty dataset");
+        let mut irls = Irls::new(x, p, rows, y);
         let mut beta = vec![0.0; p + 1];
         let mut converged = false;
         let mut iterations = 0;
         for it in 0..config.max_iter {
             iterations = it + 1;
-            let eta = design.matvec(&beta);
-            let probs: Vec<f64> = eta.iter().map(|&e| sigmoid(e)).collect();
-            // IRLS weights w = p(1−p), floored to keep the system PD.
-            let w: Vec<f64> = probs.iter().map(|&pr| (pr * (1.0 - pr)).max(1e-9)).collect();
-            // Working response contribution: Xᵀ(y − p) gives the gradient;
-            // we solve (XᵀWX + λI)·δ = Xᵀ(y − p) − λβ for the Newton step.
-            let resid: Vec<f64> = yv.iter().zip(&probs).map(|(yy, pp)| yy - pp).collect();
-            let mut grad = design.t_matvec(&resid);
-            for j in 1..=p {
-                grad[j] -= config.lambda * beta[j];
+            irls.pass(&beta);
+            // Newton step: (XᵀWX + λI)·δ = Xᵀ(y − p) − λβ, intercept
+            // unpenalized.
+            for (j, b) in beta.iter().enumerate().skip(1) {
+                irls.grad[j] -= config.lambda * b;
+                irls.hess[(j, j)] += config.lambda;
             }
-            let mut hess = design.weighted_gram(&w);
-            for j in 1..=p {
-                hess[(j, j)] += config.lambda;
-            }
-            let Some(delta) = hess.solve_spd(&grad) else {
+            let Some(delta) = irls.hess.solve_spd(&irls.grad) else {
                 break; // keep the current (regularized) estimate
             };
             let mut max_change = 0.0f64;
@@ -123,13 +82,7 @@ impl LogisticRegression {
                 break;
             }
         }
-
-        Self { beta, means, stds, iterations, converged }
-    }
-
-    /// Fit with the default configuration.
-    pub fn fit_default(x: &[Vec<f64>], y: &[bool]) -> Self {
-        Self::fit(x, y, LogisticConfig::default())
+        Self { beta, means: irls.means, stds: irls.stds, iterations, converged }
     }
 
     /// Predicted probability P(y = 1 | features).
@@ -143,11 +96,6 @@ impl LogisticRegression {
             eta += self.beta[j + 1] * (f - self.means[j]) / self.stds[j];
         }
         sigmoid(eta)
-    }
-
-    /// Predicted probabilities for many rows.
-    pub fn predict_proba_all(&self, x: &[Vec<f64>]) -> Vec<f64> {
-        x.iter().map(|row| self.predict_proba(row)).collect()
     }
 
     /// Coefficients in standardized space (intercept first).
@@ -166,6 +114,110 @@ impl LogisticRegression {
     }
 }
 
+/// Cells one [`dot_columns`] call sums at once, each in its own running
+/// sum, so the CPU overlaps their adds.
+const LANES: usize = 8;
+
+/// One fit's IRLS state, allocated once. The standardized design is
+/// feature-major, `n` rows per column: the intercept's ones, each feature
+/// (zero mean, unit deviation; constant features keep a deviation of 1),
+/// then `LANES - 1` zero columns so a group of `LANES` never runs off the
+/// end. The rest is the scratch every iteration reuses.
+struct Irls {
+    cols: Vec<f64>,
+    y: Vec<f64>,
+    eta: Vec<f64>,
+    w: Vec<f64>,
+    resid: Vec<f64>,
+    wx: Vec<f64>,
+    grad: Vec<f64>,
+    hess: Matrix,
+    means: Vec<f64>,
+    stds: Vec<f64>,
+}
+
+impl Irls {
+    fn new(x: &[f64], p: usize, rows: &[usize], y: &[bool]) -> Self {
+        let n = rows.len();
+        let mut cols = vec![0.0; (p + LANES) * n];
+        cols[..n].fill(1.0);
+        let (mut means, mut stds) = (Vec::with_capacity(p), Vec::with_capacity(p));
+        for (j, col) in cols.chunks_exact_mut(n).skip(1).take(p).enumerate() {
+            for (c, &r) in col.iter_mut().zip(rows) {
+                *c = x[r * p + j];
+            }
+            let mean = col.iter().fold(0.0, |s, &v| s + v) / n as f64;
+            let var = col.iter().fold(0.0, |s, &v| s + (v - mean) * (v - mean));
+            let sd = (var / n as f64).sqrt();
+            let sd = if sd > 1e-12 { sd } else { 1.0 };
+            col.iter_mut().for_each(|c| *c = (*c - mean) / sd);
+            means.push(mean);
+            stds.push(sd);
+        }
+        let y = y.iter().map(|&b| if b { 1.0 } else { 0.0 }).collect();
+        let (eta, w, resid, wx) = (vec![0.0; n], vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+        let hess = Matrix::zeros(p + 1, p + 1);
+        Self { cols, y, eta, w, resid, wx, grad: vec![0.0; p + 1], hess, means, stds }
+    }
+
+    /// One IRLS iteration's Newton system at `beta`, before the ridge: the
+    /// gradient Xᵀ(y − p) into `grad` and the Gram matrix XᵀWX into
+    /// `hess`, with W = p(1 − p) floored at 1e-9 (so no row has zero
+    /// weight). Every sum runs in row order with one accumulator per cell,
+    /// the arithmetic of a row-major IRLS: η adds each row's products in
+    /// feature order from −0.0, where `Iterator::sum` starts, and a Gram
+    /// cell adds (w_r·x_ri)·x_rj.
+    fn pass(&mut self, beta: &[f64]) {
+        let (n, k) = (self.y.len(), self.grad.len());
+        self.eta.fill(-0.0);
+        for (col, &b) in self.cols.chunks_exact(n).zip(beta) {
+            for (e, &v) in self.eta.iter_mut().zip(col) {
+                *e += v * b;
+            }
+        }
+        for (((&e, w), resid), &y) in
+            self.eta.iter().zip(&mut self.w).zip(&mut self.resid).zip(&self.y)
+        {
+            let pr = sigmoid(e);
+            *w = (pr * (1.0 - pr)).max(1e-9);
+            *resid = y - pr;
+        }
+        for j0 in (0..k).step_by(LANES) {
+            let dots = dot_columns(&self.resid, &self.cols, j0);
+            self.grad.iter_mut().skip(j0).zip(dots).for_each(|(g, d)| *g = d);
+        }
+        for i in 0..k {
+            let xi = self.cols.get(i * n..i * n + n).unwrap_or_default();
+            for ((wx, &w), &x) in self.wx.iter_mut().zip(&self.w).zip(xi) {
+                *wx = w * x;
+            }
+            for j0 in (i..k).step_by(LANES) {
+                for (j, d) in (j0..k).zip(dot_columns(&self.wx, &self.cols, j0)) {
+                    self.hess[(i, j)] = d;
+                    self.hess[(j, i)] = d;
+                }
+            }
+        }
+    }
+}
+
+/// `Σ_r u_r·x_r(j0 + c)` for the `LANES` columns `c` from `j0` of the
+/// feature-major `cols`, each cell one running sum in row order.
+fn dot_columns(u: &[f64], cols: &[f64], j0: usize) -> [f64; LANES] {
+    let n = u.len();
+    let mut chunks = cols.get(j0 * n..).unwrap_or_default().chunks_exact(n);
+    let c: [&[f64]; LANES] = std::array::from_fn(|_| chunks.next().unwrap_or_default());
+    // Equal lengths let the compiler drop the subscripts' bounds checks.
+    assert!(c.iter().all(|col| col.len() == n), "design ends before column {j0} + {LANES}");
+    let mut acc = [0.0; LANES];
+    for (r, &ur) in u.iter().enumerate() {
+        for (a, col) in acc.iter_mut().zip(&c) {
+            *a += ur * col[r];
+        }
+    }
+    acc
+}
+
 #[inline]
 fn sigmoid(x: f64) -> f64 {
     if x >= 0.0 {
@@ -179,8 +231,156 @@ fn sigmoid(x: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Fit every row of `x` with the default configuration.
+    fn fit_rows(x: &[Vec<f64>], y: &[bool]) -> LogisticRegression {
+        let p = x.first().map_or(0, Vec::len);
+        let rows: Vec<usize> = (0..x.len()).collect();
+        LogisticRegression::fit(&x.concat(), p, &rows, y, LogisticConfig::default())
+    }
+
+    /// The oracle: IRLS over a row-major design, with fresh vectors every
+    /// iteration, as the fit was first written.
+    fn row_major_fit(x: &[Vec<f64>], y: &[bool], config: LogisticConfig) -> LogisticRegression {
+        let n = x.len();
+        let p = x[0].len();
+        let k = p + 1;
+        let mut means = vec![0.0; p];
+        let mut stds = vec![0.0; p];
+        for j in 0..p {
+            let mut s = 0.0;
+            for row in x {
+                s += row[j];
+            }
+            means[j] = s / n as f64;
+            let mut v = 0.0;
+            for row in x {
+                let d = row[j] - means[j];
+                v += d * d;
+            }
+            let sd = (v / n as f64).sqrt();
+            stds[j] = if sd > 1e-12 { sd } else { 1.0 };
+        }
+        let mut design = Vec::with_capacity(n * k);
+        for row in x {
+            design.push(1.0);
+            for j in 0..p {
+                design.push((row[j] - means[j]) / stds[j]);
+            }
+        }
+        let yv: Vec<f64> = y.iter().map(|&b| if b { 1.0 } else { 0.0 }).collect();
+
+        let mut beta = vec![0.0; k];
+        let mut converged = false;
+        let mut iterations = 0;
+        for it in 0..config.max_iter {
+            iterations = it + 1;
+            let eta: Vec<f64> = design
+                .chunks_exact(k)
+                .map(|row| row.iter().zip(&beta).map(|(a, b)| a * b).sum())
+                .collect();
+            let probs: Vec<f64> = eta.iter().map(|&e| sigmoid(e)).collect();
+            let w: Vec<f64> = probs.iter().map(|&pr| (pr * (1.0 - pr)).max(1e-9)).collect();
+            let resid: Vec<f64> = yv.iter().zip(&probs).map(|(yy, pp)| yy - pp).collect();
+            let mut grad = vec![0.0; k];
+            for (row, &vr) in design.chunks_exact(k).zip(&resid) {
+                for (o, &a) in grad.iter_mut().zip(row) {
+                    *o += a * vr;
+                }
+            }
+            for j in 1..=p {
+                grad[j] -= config.lambda * beta[j];
+            }
+            let mut hess = Matrix::zeros(k, k);
+            for (row, &wr) in design.chunks_exact(k).zip(&w) {
+                if wr == 0.0 {
+                    continue;
+                }
+                for i in 0..k {
+                    let wi = wr * row[i];
+                    for j in i..k {
+                        hess[(i, j)] += wi * row[j];
+                    }
+                }
+            }
+            for i in 0..k {
+                for j in 0..i {
+                    hess[(i, j)] = hess[(j, i)];
+                }
+            }
+            for j in 1..=p {
+                hess[(j, j)] += config.lambda;
+            }
+            let Some(delta) = hess.solve_spd(&grad) else {
+                break;
+            };
+            let mut max_change = 0.0f64;
+            for (b, d) in beta.iter_mut().zip(&delta) {
+                *b += d;
+                max_change = max_change.max(d.abs());
+            }
+            if max_change < config.tol {
+                converged = true;
+                break;
+            }
+        }
+        LogisticRegression { beta, means, stds, iterations, converged }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random designs: binned or continuous features, some columns
+        /// constant, labels noisy or separable by one feature (where the
+        /// Gram matrix degenerates and `solve_spd` adds jitter), fitted on
+        /// a row list with repeats.
+        #[test]
+        fn feature_major_fit_equals_the_row_major_oracle_bit_for_bit(
+            seed in 0u64..u64::MAX,
+            n in 2usize..90,
+            p in 1usize..12,
+            shape in 0usize..4,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let constant = rng.random_range(0..p);
+            let x: Vec<Vec<f64>> = (0..n)
+                .map(|_| {
+                    (0..p)
+                        .map(|j| match (j == constant && shape != 0, shape) {
+                            (true, _) => 3.0,
+                            (_, 1) => rng.random_range(-5.0..5.0) * 1e3,
+                            _ => f64::from(rng.random_range(0u32..10)),
+                        })
+                        .collect()
+                })
+                .collect();
+            let rows: Vec<usize> = (0..n + n / 3).map(|_| rng.random_range(0..n)).collect();
+            let y: Vec<bool> = rows
+                .iter()
+                .map(|&r| match shape {
+                    3 => x[r][(constant + 1) % p] > 4.0,
+                    _ => rng.random::<f64>() < 0.4,
+                })
+                .collect();
+            let config = if shape == 2 {
+                LogisticConfig::default()
+            } else {
+                LogisticConfig { lambda: 0.5, ..LogisticConfig::default() }
+            };
+            let picked: Vec<Vec<f64>> = rows.iter().map(|&r| x[r].clone()).collect();
+            let want = row_major_fit(&picked, &y, config);
+            let got = LogisticRegression::fit(&x.concat(), p, &rows, &y, config);
+            let bits = |m: &LogisticRegression| -> Vec<u64> {
+                m.beta.iter().chain(&m.means).chain(&m.stds).map(|v| v.to_bits()).collect()
+            };
+            prop_assert_eq!(bits(&got), bits(&want));
+            prop_assert_eq!(got.iterations(), want.iterations());
+            prop_assert_eq!(got.converged(), want.converged());
+        }
+    }
 
     #[test]
     fn sigmoid_is_stable_at_extremes() {
@@ -202,7 +402,7 @@ mod tests {
                 y.push(a + b > 1.0);
             }
         }
-        let m = LogisticRegression::fit_default(&x, &y);
+        let m = fit_rows(&x, &y);
         assert!(m.predict_proba(&[1.5, 1.5]) > 0.95);
         assert!(m.predict_proba(&[0.1, 0.1]) < 0.05);
         // Accuracy on training data should be near perfect.
@@ -220,7 +420,7 @@ mod tests {
         // fit must stay finite.
         let x: Vec<Vec<f64>> = (0..40).map(|i| vec![f64::from(i)]).collect();
         let y: Vec<bool> = (0..40).map(|i| i >= 20).collect();
-        let m = LogisticRegression::fit_default(&x, &y);
+        let m = fit_rows(&x, &y);
         for b in m.coefficients() {
             assert!(b.is_finite());
         }
@@ -232,7 +432,7 @@ mod tests {
     fn handles_constant_features() {
         let x: Vec<Vec<f64>> = (0..30).map(|i| vec![5.0, f64::from(i)]).collect();
         let y: Vec<bool> = (0..30).map(|i| i % 3 == 0).collect();
-        let m = LogisticRegression::fit_default(&x, &y);
+        let m = fit_rows(&x, &y);
         assert!(m.predict_proba(&[5.0, 3.0]).is_finite());
     }
 
@@ -250,7 +450,7 @@ mod tests {
             x.push(vec![a, b]);
             y.push(rng.random::<f64>() < p);
         }
-        let m = LogisticRegression::fit_default(&x, &y);
+        let m = fit_rows(&x, &y);
         let c = m.coefficients();
         assert!(c[1] > 0.0, "effect of a should be positive");
         assert!(c[2] < 0.0, "effect of b should be negative");
@@ -264,15 +464,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let x: Vec<Vec<f64>> = (0..2000).map(|_| vec![rng.random::<f64>()]).collect();
         let y: Vec<bool> = (0..2000).map(|i| i % 4 == 0).collect(); // 25% positive
-        let m = LogisticRegression::fit_default(&x, &y);
-        let avg: f64 =
-            m.predict_proba_all(&x).iter().sum::<f64>() / 2000.0;
+        let m = fit_rows(&x, &y);
+        let avg: f64 = x.iter().map(|row| m.predict_proba(row)).sum::<f64>() / 2000.0;
         assert!((avg - 0.25).abs() < 0.02, "avg predicted prob {avg}");
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn mismatched_lengths_panic() {
-        LogisticRegression::fit_default(&[vec![1.0]], &[true, false]);
+        fit_rows(&[vec![1.0]], &[true, false]);
     }
 }

@@ -34,18 +34,36 @@ pub fn std_dev(xs: &[f64]) -> f64 {
 /// Percentile with linear interpolation between order statistics
 /// (R type-7 / NumPy default). `p` is in `[0, 100]`.
 ///
-/// Sorting uses the IEEE total order ([`f64::total_cmp`]), so NaN input
-/// does not panic: NaN sorts after `+∞` and surfaces only in the top
-/// percentiles instead of aborting a pipeline phase mid-run.
+/// Order statistics follow the IEEE total order ([`f64::total_cmp`]), so
+/// NaN input does not panic: NaN ranks after `+∞` and surfaces only in the
+/// top percentiles instead of aborting a pipeline phase mid-run.
 ///
 /// # Panics
 /// Panics if `xs` is empty or `p` is outside `[0, 100]`.
 pub fn percentile(xs: &[f64], p: f64) -> f64 {
-    assert!(!xs.is_empty(), "percentile of empty slice");
+    select_percentile(&mut xs.to_vec(), p)
+}
+
+/// [`percentile`] by selection instead of a sort; reorders `values`.
+///
+/// Equal under `total_cmp` means equal bits, so the k-th order statistic
+/// is one bit pattern however it is found: `select_nth_unstable_by` puts
+/// exactly the value a sort would at rank k, and the interpolation's
+/// neighbour at rank k + 1 is the minimum of the part above it. A slice
+/// selected once stays valid input, so one copy serves several calls.
+pub(crate) fn select_percentile(values: &mut [f64], p: f64) -> f64 {
+    assert!(!values.is_empty(), "percentile of empty slice");
     assert!((0.0..=100.0).contains(&p), "percentile {p} outside [0, 100]");
-    let mut sorted: Vec<f64> = xs.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    percentile_sorted(&sorted, p)
+    let h = (p / 100.0) * (values.len() - 1) as f64;
+    let lo = h.floor() as usize;
+    let (_, &mut at_lo, upper) = values.select_nth_unstable_by(lo, f64::total_cmp);
+    if h.ceil() as usize == lo {
+        return at_lo;
+    }
+    // Rank lo + 1 exists (h < len - 1), so `upper` is never empty here.
+    let at_hi = upper.iter().copied().min_by(f64::total_cmp).unwrap_or(at_lo);
+    let frac = h - lo as f64;
+    at_lo * (1.0 - frac) + at_hi * frac
 }
 
 /// Percentile over an already-sorted slice (ascending). See [`percentile`].
