@@ -77,7 +77,7 @@ fn tickets_by_bins(fx: &Fixture, metric: Metric, n_bins: usize, out: &mut String
     let table = fx.table();
     let col = table.column(metric);
     let tickets = table.tickets();
-    let binner = mpa_stats::Binner::fit(&col, n_bins);
+    let binner = table.binned().binner(metric).with_bins(n_bins);
     let mut t = TextTable::new(vec!["bin range", "n", "lo", "q1", "median", "q3", "hi", "mean"]);
     for b in 0..n_bins {
         let vals: Vec<f64> = col
@@ -785,15 +785,17 @@ pub fn ablation_delta(fx: &Fixture) -> String {
 pub fn ablation_bins(fx: &Fixture) -> String {
     use mpa_stats::{mutual_information, Binner};
     let table = fx.table();
+    // The percentile bounds do not depend on the bin count: every
+    // granularity splits the metrics' fitted ranges in the binned view.
+    let view = table.binned();
     let tickets = table.tickets();
     let mut out = String::from("Ablation — MI vs discretization granularity:\n");
     let mut t = TextTable::new(vec!["bins", "MI(devices)", "MI(change events)", "MI(workloads)"]);
     for bins in [3usize, 5, 10, 20, 40] {
-        let ticket_bins = Binner::fit(&tickets, bins).bin_all(&tickets);
+        let ticket_bins = Binner::fit(&tickets, bins).codes(&tickets);
         let mi_of = |m: Metric| {
-            let col = table.column(m);
-            let xb = Binner::fit(&col, bins).bin_all(&col);
-            mutual_information(&xb, &ticket_bins)
+            let xb = view.binner(m).with_bins(bins).codes(&table.column(m));
+            mutual_information(&xb, &ticket_bins, bins)
         };
         t.row(vec![
             bins.to_string(),
@@ -847,17 +849,19 @@ pub fn ablation_oversampling(fx: &Fixture) -> String {
 pub fn ablation_caliper(fx: &Fixture) -> String {
     let mut out = String::from("Ablation — matching caliper (treatment = no. of change events):\n");
     let mut t = TextTable::new(vec!["caliper", "pairs (1:2)", "imbalanced covariates", "p-value"]);
+    // The caliper acts only in matching: one design serves all three rows,
+    // and only the printed 1:2 point is compared.
+    let design =
+        mpa_core::TreatmentDesign::new(fx.table(), Metric::ChangeEvents, &CausalConfig::default());
     for (label, caliper) in [("none (paper)", None), ("0.2 sd (R&R)", Some(0.2)), ("0.05 sd", Some(0.05))] {
         let cfg = CausalConfig { caliper_sd: caliper, ..CausalConfig::default() };
-        let analysis = mpa_core::analyze_treatment(fx.table(), Metric::ChangeEvents, &cfg);
-        if let Some(c) = analysis.low_bin_comparison() {
-            t.row(vec![
-                label.to_string(),
-                c.n_pairs.to_string(),
-                c.n_imbalanced_covariates.to_string(),
-                c.p_value().map_or("-".into(), TextTable::num),
-            ]);
-        }
+        let c = design.compare(0, &cfg);
+        t.row(vec![
+            label.to_string(),
+            c.n_pairs.to_string(),
+            c.n_imbalanced_covariates.to_string(),
+            c.p_value().map_or("-".into(), TextTable::num),
+        ]);
     }
     out.push_str(&t.to_string());
     out.push_str("\nTighter calipers buy balance with sample size; the sign test loses power\nas pairs drop — the trade the paper implicitly makes by matching un-calipered\nand certifying quality through the §5.2.4 balance checks instead.\n");

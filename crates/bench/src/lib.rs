@@ -6,8 +6,7 @@
 //!   returns the printable artifact the `repro` binary prints.
 //!
 //! Performance is measured by `perfbench/` at the repository root (see
-//! `perfbench/README.md` and `BENCHMARK.json`); the criterion benches in
-//! `benches/` only time the substrates and the archive hot paths.
+//! `perfbench/README.md` and `BENCHMARK.json`).
 
 pub mod experiments;
 pub mod fixtures;

@@ -20,7 +20,7 @@
 use mpa_core::predict::{
     class_distribution, cross_validation, online_accuracy, render_tree, HealthClasses, ModelKind,
 };
-use mpa_core::{analyze_treatment, cmi_ranking, mi_ranking, CausalConfig, TextTable};
+use mpa_core::{cmi_ranking, mi_ranking, CausalConfig, TextTable, TreatmentDesign};
 use mpa_metrics::{CaseTable, Metric};
 use mpa_synth::{CoverageReport, Dataset, DegradeSpec, Scenario};
 use std::time::Duration;
@@ -287,21 +287,21 @@ fn analyze(opts: &Opts, table: &CaseTable) {
     let cfg = CausalConfig::default();
     let mut t = TextTable::new(vec!["treatment", "pairs", "p-value", "balance", "verdict"]);
     // Matching is independent per treatment metric; fan out, render in
-    // ranking order.
+    // ranking order. Only the printed 1:2 point is compared.
     let top_entries: Vec<_> = mi.iter().take(top).collect();
-    let analyses = mpa_obs::span("causal", || {
-        mpa_core::exec::par_map(&top_entries, |_, e| analyze_treatment(table, e.metric, &cfg))
+    let comparisons = mpa_obs::span("causal", || {
+        mpa_core::exec::par_map(&top_entries, |_, e| {
+            TreatmentDesign::new(table, e.metric, &cfg).compare(0, &cfg)
+        })
     });
-    for (e, analysis) in top_entries.iter().zip(&analyses) {
-        if let Some(c) = analysis.low_bin_comparison() {
-            t.row(vec![
-                e.metric.name().to_string(),
-                c.n_pairs.to_string(),
-                c.p_value().map_or("-".into(), TextTable::num),
-                if c.balanced(&cfg) { "ok".into() } else { format!("imbal ({})", c.n_imbalanced_covariates) },
-                if c.causal(&cfg) { "CAUSAL".into() } else { "-".to_string() },
-            ]);
-        }
+    for (e, c) in top_entries.iter().zip(&comparisons) {
+        t.row(vec![
+            e.metric.name().to_string(),
+            c.n_pairs.to_string(),
+            c.p_value().map_or("-".into(), TextTable::num),
+            if c.balanced(&cfg) { "ok".into() } else { format!("imbal ({})", c.n_imbalanced_covariates) },
+            if c.causal(&cfg) { "CAUSAL".into() } else { "-".to_string() },
+        ]);
     }
     println!("{t}");
 }

@@ -6,7 +6,9 @@
 //!
 //! 1. **Treatment definition** (§5.2.2): the treatment metric is binned
 //!    into 5 bins (the §5.1.1 binning) and neighbouring bins are compared —
-//!    comparison points 1:2, 2:3, 3:4, 4:5.
+//!    comparison points 1:2, 2:3, 3:4, 4:5. The treatment's bounds and the
+//!    confounders' codes come from the table's binned view, so every
+//!    treatment of one table shares one discretization.
 //! 2. **Matching** (§5.2.3): a logistic-regression **propensity score** is
 //!    fit on the other 27 metrics; cases outside the common support are
 //!    discarded; each treated case is paired with the nearest untreated
@@ -18,10 +20,10 @@
 //! 4. **Sign test** (§5.2.5): the distribution of per-pair ticket
 //!    differences must reject "median = 0" at p < 0.001.
 
-use mpa_metrics::{CaseTable, Metric};
+use mpa_metrics::{CaseTable, Metric, COARSE_BINS};
 use mpa_stats::logistic::LogisticConfig;
 use mpa_stats::signtest::{sign_test_from_diffs, SignTestResult};
-use mpa_stats::{BalanceCheck, Binner, LogisticRegression};
+use mpa_stats::{BalanceCheck, LogisticRegression};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the causal pipeline.
@@ -47,7 +49,7 @@ pub struct CausalConfig {
 impl Default for CausalConfig {
     fn default() -> Self {
         Self {
-            n_treatment_bins: 5,
+            n_treatment_bins: COARSE_BINS,
             alpha: 0.001,
             min_cases: 30,
             max_imbalanced_covariates: 4,
@@ -147,11 +149,12 @@ pub struct TreatmentDesign {
 }
 
 impl TreatmentDesign {
-    /// Bin the treatment and the other 27 metrics of `table`.
+    /// Bin the treatment over its bounds in the table's binned view, and
+    /// read the other 27 metrics' codes from that view.
     pub fn new(table: &CaseTable, treatment: Metric, config: &CausalConfig) -> Self {
-        let treat_col = table.column(treatment);
-        let binner = Binner::fit(&treat_col, config.n_treatment_bins);
-        let mut bins: Vec<usize> = binner.bin_all(&treat_col);
+        let view = table.binned();
+        let binner = view.binner(treatment).with_bins(config.n_treatment_bins);
+        let codes = binner.codes(&table.column(treatment));
 
         // Discrete metrics (e.g. number of roles, 1..6) can leave
         // equal-width bins empty, which would make "neighbouring bin"
@@ -159,14 +162,10 @@ impl TreatmentDesign {
         // *populated* bins — the paper's own provision ("more (or fewer)
         // bins can be used if we have an (in)sufficient number of cases in
         // each bin").
-        let mut present: Vec<usize> = bins.clone();
+        let mut present = codes.clone();
         present.sort_unstable();
         present.dedup();
-        let relabel: std::collections::BTreeMap<usize, usize> =
-            present.iter().enumerate().map(|(new, &old)| (old, new)).collect();
-        for b in &mut bins {
-            *b = relabel[b];
-        }
+        let bins = codes.iter().map(|c| present.partition_point(|p| p < c)).collect();
 
         // Confounders: all 27 other metrics, entered as their 10-bin
         // indices — the §5.1.1 discretization precedes every analysis in
@@ -175,16 +174,10 @@ impl TreatmentDesign {
         // strongly-related metrics.
         let confounders: Vec<Metric> =
             Metric::ALL.iter().copied().filter(|&m| m != treatment).collect();
-        let conf_binners: Vec<Binner> = confounders
-            .iter()
-            .map(|&m| Binner::fit(&table.column(m), crate::dependence::DEPENDENCE_BINS))
-            .collect();
+        let columns: Vec<&[u8]> = confounders.iter().map(|&m| view.fine(m)).collect();
         let mut features = Vec::with_capacity(table.n_cases() * confounders.len());
-        for c in table.cases() {
-            for (m, b) in confounders.iter().zip(&conf_binners) {
-                // mpa-lint: allow(R7) -- Metric::index() is the dense slot in a values vec sized Metric::ALL
-                features.push(b.bin(c.values[m.index()]) as f64);
-            }
+        for i in 0..table.n_cases() {
+            features.extend(columns.iter().map(|col| f64::from(col[i])));
         }
         Self { bins, confounders, features, tickets: table.tickets() }
     }

@@ -7,14 +7,13 @@
 //! with the §5.1.1 binning (10 equal-width bins between the 5th and 95th
 //! percentile, outliers clamped); Table 3 reports the **average monthly
 //! MI**: MI is computed within each month's cases and averaged across
-//! months, which removes cross-month drift from the estimate.
+//! months, which removes cross-month drift from the estimate. Both
+//! rankings read the table's binned view, whose bounds are organization-
+//! wide (fitted on all months), and count its `u8` codes densely.
 
-use mpa_metrics::{Case, CaseTable, Metric};
-use mpa_stats::{conditional_mutual_information, mutual_information, Binner};
+use mpa_metrics::{CaseTable, Metric, FINE_BINS};
+use mpa_stats::{conditional_mutual_information, mutual_information};
 use serde::{Deserialize, Serialize};
-
-/// Bins used for dependence analysis (§5.1.1).
-pub const DEPENDENCE_BINS: usize = 10;
 
 /// One row of the MI ranking (Table 3).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -36,79 +35,61 @@ pub struct CmiEntry {
     pub cmi: f64,
 }
 
-/// Bin a column with the paper's strategy; degenerate columns map to bin 0.
-fn binned(values: &[f64], n_bins: usize) -> Vec<usize> {
-    Binner::fit(values, n_bins).bin_all(values)
-}
-
 /// Rank all 28 practices by average monthly MI with health (Table 3).
 ///
 /// Months with fewer than `min_cases_per_month` cases are skipped (an MI
 /// estimate over a handful of cases is noise).
 pub fn mi_ranking(table: &CaseTable, min_cases_per_month: usize) -> Vec<MiEntry> {
-    // Global binners (the 5th/95th percentile bounds are properties of the
-    // organization, not of one month).
-    let ticket_binner = Binner::fit(&table.tickets(), DEPENDENCE_BINS);
-    let metric_binners: Vec<Binner> = Metric::ALL
-        .iter()
-        .map(|&m| Binner::fit(&table.column(m), DEPENDENCE_BINS))
-        .collect();
-
-    // Qualifying months with their cases and binned health column, computed
-    // once and shared by every metric (the sequential version re-binned
-    // tickets 28 times).
-    let month_cases: Vec<(Vec<&Case>, Vec<usize>)> = table
+    let view = table.binned();
+    // Qualifying months with their rows and binned health, shared by every
+    // metric.
+    let months: Vec<(&[usize], Vec<u8>)> = view
         .months()
-        .into_iter()
-        .filter_map(|month| {
-            let cases = table.cases_in_month(month);
-            if cases.len() < min_cases_per_month {
-                return None;
-            }
-            let ys: Vec<usize> = cases.iter().map(|c| ticket_binner.bin(c.tickets)).collect();
-            Some((cases, ys))
-        })
+        .iter()
+        .filter(|(_, rows)| rows.len() >= min_cases_per_month)
+        .map(|(_, rows)| (rows.as_slice(), gather(view.tickets(), rows)))
         .collect();
 
     // Metrics are scored independently; fan out, then sort (the stable sort
     // over the order-preserving map keeps ties in `Metric::ALL` order, same
     // as the sequential path).
-    let mut entries: Vec<MiEntry> =
-        mpa_exec::par_map(Metric::ALL.as_slice(), |mi_ix, &metric| {
-            let mut total = 0.0;
-            for (cases, ys) in &month_cases {
-                let xs: Vec<usize> = cases
-                    .iter()
-                    // mpa-lint: allow(R7) -- Metric::index() is the dense slot in a values vec sized Metric::ALL
-                    .map(|c| metric_binners[mi_ix].bin(c.values[metric.index()]))
-                    .collect();
-                total += mutual_information(&xs, ys);
-            }
-            let n_months = month_cases.len();
-            MiEntry { metric, mi: if n_months > 0 { total / n_months as f64 } else { 0.0 } }
-        });
+    let mut entries: Vec<MiEntry> = mpa_exec::par_map(Metric::ALL.as_slice(), |_, &metric| {
+        let codes = view.fine(metric);
+        let mut total = 0.0;
+        for (rows, ys) in &months {
+            total += mutual_information(&gather(codes, rows), ys, FINE_BINS);
+        }
+        let n_months = months.len();
+        MiEntry { metric, mi: if n_months > 0 { total / n_months as f64 } else { 0.0 } }
+    });
     entries.sort_by(|a, b| b.mi.total_cmp(&a.mi));
     entries
 }
 
+/// The codes of `rows`, in their order.
+fn gather(codes: &[u8], rows: &[usize]) -> Vec<u8> {
+    rows.iter().map(|&i| codes[i]).collect()
+}
+
 /// Rank all practice pairs by CMI given health (Table 4), descending.
 pub fn cmi_ranking(table: &CaseTable) -> Vec<CmiEntry> {
-    let ticket_binner = Binner::fit(&table.tickets(), DEPENDENCE_BINS);
-    let ys: Vec<usize> = table.tickets().iter().map(|&t| ticket_binner.bin(t)).collect();
-    let binned_cols: Vec<Vec<usize>> = Metric::ALL
-        .iter()
-        .map(|&m| binned(&table.column(m), DEPENDENCE_BINS))
-        .collect();
-
+    let view = table.binned();
     // All ~378 pairs are independent given the binned columns; fan out and
     // sort. Pair order (hence tie order after the stable sort) matches the
     // sequential double loop.
-    let pairs: Vec<(usize, usize)> = (0..Metric::ALL.len())
-        .flat_map(|i| ((i + 1)..Metric::ALL.len()).map(move |j| (i, j)))
+    let pairs: Vec<(Metric, Metric)> = Metric::ALL
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &a)| Metric::ALL[i + 1..].iter().map(move |&b| (a, b)))
         .collect();
-    let mut entries = mpa_exec::par_map(&pairs, |_, &(i, j)| {
-        let cmi = conditional_mutual_information(&binned_cols[i], &binned_cols[j], &ys);
-        CmiEntry { a: Metric::ALL[i], b: Metric::ALL[j], cmi }
+    let mut entries = mpa_exec::par_map(&pairs, |_, &(a, b)| {
+        let cmi = conditional_mutual_information(
+            view.fine(a),
+            view.fine(b),
+            view.tickets(),
+            FINE_BINS,
+        );
+        CmiEntry { a, b, cmi }
     });
     entries.sort_by(|a, b| b.cmi.total_cmp(&a.cmi));
     entries
@@ -118,6 +99,7 @@ pub fn cmi_ranking(table: &CaseTable) -> Vec<CmiEntry> {
 mod tests {
     use super::*;
     use mpa_metrics::catalog::N_METRICS;
+    use mpa_metrics::Case;
     use mpa_model::NetworkId;
 
     /// Build a synthetic case table where tickets depend strongly on

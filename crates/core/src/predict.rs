@@ -12,6 +12,12 @@
 //! * [`cross_validation`] — 5-fold CV over all cases (§6.1's 91.6% / 81.1%).
 //! * [`online_accuracy`] — train on months `t−M … t−1`, predict month `t`,
 //!   averaged over `t` (Table 9's 89% / 76–78%).
+//!
+//! A whole table's learn set splits its binned view's bounds into 5 bins
+//! ([`build_learnset`], [`FeatureEncoder::of`]), so cross-validation and
+//! the daemon's tree fit no binner. Online prediction fits a
+//! [`FeatureEncoder`] on each training slice instead, since a slice's full
+//! view would add 10-bin codes that nothing reads.
 
 use mpa_learn::boost::BoostConfig;
 use mpa_learn::forest::ForestConfig;
@@ -22,12 +28,9 @@ use mpa_learn::{
     Instance, LearnSet, LinearSvm, MajorityClassifier, RandomForest, View,
 };
 use mpa_metrics::catalog::N_METRICS;
-use mpa_metrics::{Case, CaseTable, Metric};
+use mpa_metrics::{BinnedView, Case, CaseTable, Metric, COARSE_BINS};
 use mpa_stats::Binner;
 use serde::{Deserialize, Serialize};
-
-/// Bins per feature for learning (§6.1).
-pub const LEARN_BINS: usize = 5;
 
 /// Health class granularity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -130,10 +133,19 @@ pub struct FeatureEncoder {
 }
 
 impl FeatureEncoder {
-    /// Fit binners on a table.
+    /// Fit binners on a table's columns, without building its binned view
+    /// (online prediction's month slices).
     pub fn fit(table: &CaseTable, classes: HealthClasses) -> Self {
-        let binners =
-            Metric::ALL.iter().map(|&m| Binner::fit(&table.column(m), LEARN_BINS)).collect();
+        let binners: Vec<Binner> =
+            Metric::ALL.iter().map(|&m| Binner::fit(&table.column(m), COARSE_BINS)).collect();
+        mpa_obs::counters::BINNER_FITS.add(binners.len() as u64);
+        Self { binners, classes }
+    }
+
+    /// The binners of a binned view, at [`COARSE_BINS`]: what [`Self::fit`]
+    /// on the view's table would give, with nothing fitted.
+    pub fn of(view: &BinnedView, classes: HealthClasses) -> Self {
+        let binners = Metric::ALL.iter().map(|&m| view.binner(m).with_bins(COARSE_BINS)).collect();
         Self { binners, classes }
     }
 
@@ -156,13 +168,13 @@ impl FeatureEncoder {
                 Instance { features: row.to_vec(), label, weight: 1.0 }
             })
             .collect();
-        LearnSet::new(instances, vec![LEARN_BINS as u8; N_METRICS], self.classes.n())
+        LearnSet::new(instances, vec![COARSE_BINS as u8; N_METRICS], self.classes.n())
     }
 }
 
-/// Build the learn set for a table (binners fit on the same table).
+/// Build the learn set for a table with its binned view's bounds.
 pub fn build_learnset(table: &CaseTable, classes: HealthClasses) -> LearnSet {
-    FeatureEncoder::fit(table, classes).encode(table)
+    FeatureEncoder::of(table.binned(), classes).encode(table)
 }
 
 /// A trained model behind a uniform interface.

@@ -34,7 +34,9 @@
 //!
 //! A refresh computes what the daemon serves: the MI ranking, the 1:2
 //! matched comparison (the one `/causal/summary` renders) for each of the
-//! top `causal_top` practices, and the decision tree.
+//! top `causal_top` practices, and the decision tree. All three read the
+//! current table's one binned view, so a refresh fits 29 binners (28
+//! metrics and the tickets) however many treatments it matches.
 
 use crate::causal::{CausalConfig, ComparisonResult, TreatmentDesign};
 use crate::dependence::{mi_ranking, MiEntry};
@@ -153,7 +155,7 @@ pub struct Analytics {
     pub causal: Vec<CausalRow>,
     /// The causal configuration the rows were computed with.
     pub causal_config: CausalConfig,
-    /// Feature encoder fitted on the current table.
+    /// Feature encoder of the current table's binned view.
     pub encoder: FeatureEncoder,
     /// Decision tree fitted on the current table.
     pub model: TrainedModel,
@@ -294,7 +296,7 @@ impl AnalyticsSession {
             comparison: TreatmentDesign::new(&self.table, e.metric, &causal_config)
                 .compare(0, &causal_config),
         });
-        let encoder = FeatureEncoder::fit(&self.table, cfg.classes);
+        let encoder = FeatureEncoder::of(self.table.binned(), cfg.classes);
         let model = train(ModelKind::Dt, &encoder.encode(&self.table).view(), cfg.classes);
         let distribution = class_distribution(&self.table, cfg.classes);
         self.analytics =

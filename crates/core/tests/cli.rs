@@ -96,6 +96,26 @@ fn full_pipeline_via_files() {
         .unwrap_or_else(|| panic!("stderr names no byte offset: {stderr}"));
     assert!(offset > 0 && offset <= half, "offset {offset} outside the {half}-byte file");
 
+    // A table whose fourth row is short of its 28 values fails to decode,
+    // naming the row, instead of panicking in the analytics.
+    let decoded: mpa_metrics::CaseTable =
+        serde_json::from_str(&std::fs::read_to_string(&table).expect("read table"))
+            .expect("the inferred table decodes");
+    let mut cases = decoded.cases().to_vec();
+    cases[3].values.truncate(5);
+    let short = tmp("table-short.json");
+    let json = format!("{{\"cases\":{}}}", serde_json::to_string(&cases).expect("serializes"));
+    std::fs::write(&short, json).expect("write short table");
+    for command in ["analyze", "predict"] {
+        let out = cli()
+            .args([command, "--table", short.to_str().unwrap()])
+            .output()
+            .expect("run on the short table");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command} on a short row must exit 1: {stderr}");
+        assert!(stderr.contains("row 3"), "{command} names no row: {stderr}");
+    }
+
     let out = cli()
         .args(["analyze", "--table", table.to_str().unwrap(), "--causal-top", "2"])
         .output()

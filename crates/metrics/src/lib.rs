@@ -17,8 +17,12 @@
 //!   (transitive closure of adjacency), referential complexity.
 //! * [`table`] — the `(network, month)` case table: 28 metric values plus
 //!   the health outcome (incident tickets, maintenance excluded).
+//! * [`binned`] — the table's binned view: the §5.1.1 discretization of
+//!   every metric and of the tickets, fitted once and read by every
+//!   analytic.
 //! * [`pipeline`] — end-to-end inference from a [`mpa_synth::Dataset`].
 
+pub mod binned;
 pub mod catalog;
 pub mod changes;
 pub mod design;
@@ -26,6 +30,7 @@ pub mod events;
 pub mod pipeline;
 pub mod table;
 
+pub use binned::{BinnedView, COARSE_BINS, FINE_BINS};
 pub use catalog::{Metric, MetricCategory, N_METRICS};
 pub use changes::{replay_device_changes, DeviceChange};
 pub use events::{group_events, ChangeEvent, DELTA_DEFAULT_MINUTES};

@@ -5,12 +5,14 @@
 //! on a monthly basis for each network, giving us ≈11K data points"
 //! (§5.1.1). The case table is that data set; every downstream analysis —
 //! MI ranking, CMI pairs, propensity matching, decision-tree learning —
-//! consumes it.
+//! consumes it, through the table's one [`BinnedView`].
 
+use crate::binned::BinnedView;
 use crate::catalog::{Metric, N_METRICS};
 use mpa_model::NetworkId;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Reader, Serialize};
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// One row: a network observed for one month.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -33,9 +35,34 @@ impl Case {
 }
 
 /// The full case table.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct CaseTable {
     cases: Vec<Case>,
+    /// Derived from `cases` on first use, so neither on the wire nor in `==`.
+    #[serde(skip)]
+    binned: OnceLock<BinnedView>,
+}
+
+/// Decoded through the width check of [`CaseTable::new`]: a row short of
+/// its 28 values is a decode error that names it, since every analytic
+/// indexes rows by metric.
+impl Deserialize for CaseTable {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, serde::Error> {
+        // The derived reader of the wire fields, declared under this type's
+        // name so that its errors read the same.
+        #[derive(Deserialize)]
+        struct CaseTable {
+            cases: Vec<Case>,
+        }
+        let wire = CaseTable::deserialize(r)?;
+        Self::try_new(wire.cases).map_err(|msg| r.error(format!("CaseTable: {msg}")))
+    }
+}
+
+impl PartialEq for CaseTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.cases == other.cases
+    }
 }
 
 /// Per-network mean values across its observed months (the unit of the
@@ -65,10 +92,21 @@ impl CaseTable {
     /// # Panics
     /// Panics if any row does not have exactly 28 values.
     pub fn new(cases: Vec<Case>) -> Self {
-        for c in &cases {
-            assert_eq!(c.values.len(), N_METRICS, "case must carry all 28 metrics");
+        // mpa-lint: allow(R7) -- inference emits every row with all N_METRICS values
+        Self::try_new(cases).unwrap_or_else(|msg| panic!("case must carry all 28 metrics: {msg}"))
+    }
+
+    /// Build from rows, or say which row does not carry exactly 28 values.
+    fn try_new(cases: Vec<Case>) -> Result<Self, String> {
+        if let Some((i, c)) = cases.iter().enumerate().find(|(_, c)| c.values.len() != N_METRICS) {
+            return Err(format!("row {i} carries {} values, not {N_METRICS}", c.values.len()));
         }
-        Self { cases }
+        Ok(Self { cases, binned: OnceLock::new() })
+    }
+
+    /// The table's binned view, built on first use (see [`BinnedView`]).
+    pub fn binned(&self) -> &BinnedView {
+        self.binned.get_or_init(|| BinnedView::new(&self.cases))
     }
 
     /// All rows.
@@ -100,21 +138,12 @@ impl CaseTable {
         months
     }
 
-    /// Rows belonging to one month.
-    pub fn cases_in_month(&self, month: usize) -> Vec<&Case> {
-        self.cases.iter().filter(|c| c.month == month).collect()
-    }
-
     /// A sub-table restricted to a month range `[from, to)` (used by the
     /// online-prediction experiment: train on months `t−M..t`, test on `t`).
     pub fn slice_months(&self, from: usize, to: usize) -> CaseTable {
         CaseTable {
-            cases: self
-                .cases
-                .iter()
-                .filter(|c| (from..to).contains(&c.month))
-                .cloned()
-                .collect(),
+            cases: self.cases.iter().filter(|c| (from..to).contains(&c.month)).cloned().collect(),
+            binned: OnceLock::new(),
         }
     }
 
@@ -184,7 +213,6 @@ mod tests {
             case(1, 1, 4.0, 0.0),
         ]);
         assert_eq!(t.months(), vec![0, 1, 2]);
-        assert_eq!(t.cases_in_month(1).len(), 2);
         let s = t.slice_months(1, 3);
         assert_eq!(s.n_cases(), 3);
         assert_eq!(s.months(), vec![1, 2]);

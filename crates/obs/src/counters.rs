@@ -136,6 +136,14 @@ pub static PAR_MAP_REGIONS: Counter = Counter::new("par_map_regions");
 /// Work items submitted to parallel regions (input elements, not chunks).
 pub static PAR_MAP_TASKS: Counter = Counter::new("par_map_tasks");
 
+// --- discretization (incremented by mpa-metrics and mpa-core) ------------
+
+/// Columns a §5.1.1 binner was fitted to for the analytics (percentile
+/// bounds selected). A case table's binned view fits its 28 metrics and its
+/// tickets once, so a daemon refresh counts 29; online prediction's encoder
+/// fits 28 per month slice.
+pub static BINNER_FITS: Counter = Counter::new("binner_fits");
+
 // --- causal matching (incremented by mpa-core) ---------------------------
 
 /// Neighbouring-bin comparisons attempted.
@@ -237,6 +245,7 @@ pub static ALL: &[&Counter] = &[
     &INFER_DELTA_BYTES,
     &PAR_MAP_REGIONS,
     &PAR_MAP_TASKS,
+    &BINNER_FITS,
     &CAUSAL_COMPARISONS,
     &CAUSAL_SUPPORT_DROPS,
     &CAUSAL_CALIPER_DROPS,

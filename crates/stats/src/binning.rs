@@ -7,7 +7,8 @@
 //! > first (last) bin."
 //!
 //! Ten bins are used for dependence analysis; five for treatment assignment
-//! in the causal QED (§5.2.2) and for learning (§6.1).
+//! in the causal QED (§5.2.2) and for learning (§6.1). The bounds do not
+//! depend on the bin count, so one fit serves both ([`Binner::with_bins`]).
 
 use crate::summary::select_percentile;
 use serde::{Deserialize, Serialize};
@@ -54,6 +55,16 @@ impl Binner {
         Self { lo, hi, n_bins }
     }
 
+    /// The same bounds split into `n_bins` bins: what fitting the same
+    /// values with `n_bins` would give, with nothing refitted.
+    ///
+    /// # Panics
+    /// Panics if `n_bins == 0`.
+    pub fn with_bins(&self, n_bins: usize) -> Self {
+        assert!(n_bins > 0, "need at least one bin");
+        Self { lo: self.lo, hi: self.hi, n_bins }
+    }
+
     /// Number of bins.
     #[inline]
     pub fn n_bins(&self) -> usize {
@@ -89,9 +100,13 @@ impl Binner {
         ix.min(self.n_bins - 1)
     }
 
-    /// Bin all values.
-    pub fn bin_all(&self, values: &[f64]) -> Vec<usize> {
-        values.iter().map(|&x| self.bin(x)).collect()
+    /// The bin of every value, as the `u8` codes the entropy counters read.
+    ///
+    /// # Panics
+    /// Panics if there are more than 256 bins.
+    pub fn codes(&self, values: &[f64]) -> Vec<u8> {
+        assert!(self.n_bins <= 256, "{} bins do not fit a u8 code", self.n_bins);
+        values.iter().map(|&x| self.bin(x) as u8).collect()
     }
 
     /// The half-open value range `[lo, hi)` of bin `ix` (the first and last
@@ -132,6 +147,15 @@ mod tests {
     }
 
     #[test]
+    fn with_bins_equals_a_fit_at_that_bin_count() {
+        let values: Vec<f64> = (0..97).map(|i| f64::from(i * i % 41) - 3.5).collect();
+        let ten = Binner::fit(&values, 10);
+        for n_bins in [1, 3, 5, 6, 20, 40] {
+            assert_eq!(ten.with_bins(n_bins), Binner::fit(&values, n_bins));
+        }
+    }
+
+    #[test]
     fn degenerate_data_goes_to_bin_zero() {
         let b = Binner::fit(&[4.2; 50], 10);
         assert_eq!(b.bin(4.2), 0);
@@ -153,7 +177,7 @@ mod tests {
         let mut values: Vec<f64> = (0..990).map(|i| f64::from(i) / 100.0).collect();
         values.extend([1e4, 2e4, 3e4, 4e4, 5e4, 6e4, 7e4, 8e4, 9e4, 1e5]);
         let b = Binner::fit(&values, 10);
-        let bins = b.bin_all(&values);
+        let bins = b.codes(&values);
         let distinct: std::collections::BTreeSet<_> = bins.iter().copied().collect();
         assert!(distinct.len() >= 9, "bulk should occupy most bins, got {distinct:?}");
     }

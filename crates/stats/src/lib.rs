@@ -10,8 +10,9 @@
 //!   bounded by the 5th and 95th percentile, with outliers clamped into the
 //!   first/last bin.
 //! * [`entropy`] — Shannon entropy, mutual information and conditional mutual
-//!   information over discretized variables (§5.1), plus the normalized
-//!   entropy used for hardware/firmware heterogeneity (§2.2, line D3).
+//!   information over `u8` bin codes, counted densely (§5.1), plus the
+//!   normalized entropy used for hardware/firmware heterogeneity (§2.2,
+//!   line D3).
 //! * [`logistic`] — L2-regularized logistic regression fitted with IRLS;
 //!   used to estimate propensity scores (§5.2.3).
 //! * [`signtest`] — the exact sign test used to judge matched-pair outcome
@@ -43,10 +44,7 @@ pub mod summary;
 pub use balance::{balance_ok, std_diff_of_means, variance_ratio, BalanceCheck};
 pub use binning::Binner;
 pub use corr::pearson;
-pub use entropy::{
-    conditional_entropy, conditional_mutual_information, entropy, joint_entropy,
-    mutual_information, normalized_entropy,
-};
+pub use entropy::{conditional_mutual_information, mutual_information, normalized_entropy};
 pub use histogram::Ecdf;
 pub use linalg::Matrix;
 pub use logistic::LogisticRegression;

@@ -1,8 +1,8 @@
 //! Scenario presets and the end-to-end generation pipeline.
 //!
 //! [`Scenario::paper`] reproduces the paper's scale (850+ networks over the
-//! Aug 2013 – Dec 2014 period); the smaller presets keep tests and criterion
-//! benches fast while exercising identical code paths.
+//! Aug 2013 – Dec 2014 period); the smaller presets keep tests fast while
+//! exercising identical code paths.
 
 use crate::dataset::Dataset;
 use crate::degrade::{degrade_network, DegradeSpec, DegradeStats};

@@ -5,9 +5,12 @@
 //! bytes are JSON punctuation, digits and literal letters, so the damage
 //! steers the decoder into its error paths rather than into string bodies
 //! only. A dataset whose line ids run past its archive's line table must
-//! fail to decode, since inference would index the table with them.
+//! fail to decode, since inference would index the table with them, and
+//! so must a case table with a row short of the 28 metric values, since
+//! every analytic indexes a row by metric.
 
 use mpa::analytics::IngestBatch;
+use mpa::metrics::Case;
 use mpa::prelude::*;
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -67,6 +70,23 @@ fn line_ids_past_the_table_fail_to_decode() {
     };
     assert!(err.to_string().contains("past the"), "{err}");
     assert!(err.offset() > at && err.offset() <= damaged.len(), "{err}");
+}
+
+/// A case table whose fourth row carries 5 of its 28 values is a decode
+/// error that names the row, not a table the analytics index past.
+#[test]
+fn short_case_rows_fail_to_decode() {
+    let table = infer_case_table(&Scenario::tiny().generate());
+    let wire = |cases: &[Case]| {
+        format!("{{\"cases\":{}}}", serde_json::to_string(cases).expect("serializes"))
+    };
+    assert_eq!(wire(table.cases()), serde_json::to_string(&table).expect("serializes"));
+    let mut cases = table.cases().to_vec();
+    cases[3].values.truncate(5);
+    let Err(err) = serde_json::from_str::<CaseTable>(&wire(&cases)) else {
+        panic!("a short row decoded");
+    };
+    assert!(err.to_string().contains("row 3"), "{err}");
 }
 
 proptest! {
