@@ -87,12 +87,6 @@ impl ConfigFacts {
         usize::from(self.bgp_local_as.is_some()) + usize::from(self.ospf_process.is_some())
     }
 
-    /// Total protocols in use (L2 + L3), the per-device contribution to the
-    /// paper's Fig 11(b).
-    pub fn protocol_count(&self) -> usize {
-        self.l2_protocols.len() + self.l3_protocol_count()
-    }
-
     /// Number of inter-device references.
     pub fn inter_refs(&self) -> usize {
         self.inter_ref_devices.len()
@@ -373,7 +367,6 @@ mod tests {
         // L2: vlan + stp + udld = 3; L3: bgp + ospf = 2.
         assert_eq!(f.l2_protocols.len(), 3);
         assert_eq!(f.l3_protocol_count(), 2);
-        assert_eq!(f.protocol_count(), 5);
     }
 
     #[test]
@@ -419,7 +412,8 @@ mod tests {
         let c = DeviceConfig::new("h", Dialect::BlockKeyword);
         let text = render_config(&c);
         let f = extract_facts(&parse_config(&text, Dialect::BlockKeyword).unwrap());
-        assert_eq!(f.protocol_count(), 0);
+        assert!(f.l2_protocols.is_empty());
+        assert_eq!(f.l3_protocol_count(), 0);
         assert_eq!(f.intra_refs, 0);
         assert_eq!(f.inter_refs(), 0);
         assert_eq!(f.iface_count, 0);

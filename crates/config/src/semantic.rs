@@ -206,13 +206,6 @@ impl DeviceConfig {
         self.add_interface(port).access_vlan = Some(vlan);
     }
 
-    /// Detach a port from its access VLAN.
-    pub fn clear_interface_vlan(&mut self, port: u16) {
-        if let Some(ifc) = self.interfaces.get_mut(&port) {
-            ifc.access_vlan = None;
-        }
-    }
-
     /// Apply an ACL inbound on a port (the ACL must already exist).
     ///
     /// # Panics
@@ -372,16 +365,6 @@ impl DeviceConfig {
     pub fn set_qos_class(&mut self, name: impl Into<String>, dscp: u8) {
         self.qos.insert(name.into(), QosClass { dscp });
     }
-
-    /// Number of distinct L2 protocols in use (VLANs count as one protocol
-    /// when any VLAN is configured).
-    pub fn l2_protocol_count(&self) -> usize {
-        usize::from(!self.vlans.is_empty())
-            + usize::from(self.features.spanning_tree)
-            + usize::from(self.features.lacp)
-            + usize::from(self.features.udld)
-            + usize::from(self.features.dhcp_relay)
-    }
 }
 
 #[cfg(test)]
@@ -463,16 +446,6 @@ mod tests {
         c.pool_remove_member("web", "192.168.1.10:443");
         assert_eq!(c.pools["web"].members.len(), 1);
         c.pool_remove_member("ghost", "x"); // no-op
-    }
-
-    #[test]
-    fn l2_protocol_count() {
-        let mut c = cfg();
-        assert_eq!(c.l2_protocol_count(), 0);
-        c.add_vlan(10);
-        c.features.spanning_tree = true;
-        c.features.udld = true;
-        assert_eq!(c.l2_protocol_count(), 3);
     }
 
     #[test]

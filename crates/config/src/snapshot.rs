@@ -68,11 +68,6 @@ impl UserDirectory {
         Self { special_accounts: special_accounts.into_iter().collect() }
     }
 
-    /// Register an automation account.
-    pub fn add_special(&mut self, account: impl Into<String>) {
-        self.special_accounts.insert(account.into());
-    }
-
     /// Whether a login is classified as an automation account. Changes made
     /// by unknown logins are assumed manual (the paper's conservative rule).
     pub fn is_automated(&self, login: &Login) -> bool {
@@ -86,10 +81,8 @@ mod tests {
 
     #[test]
     fn user_directory_classification() {
-        let mut dir = UserDirectory::new(["svc-netauto".to_string()]);
-        dir.add_special("svc-deploy");
+        let dir = UserDirectory::new(["svc-netauto".to_string()]);
         assert!(dir.is_automated(&Login::new("svc-netauto")));
-        assert!(dir.is_automated(&Login::new("svc-deploy")));
         assert!(!dir.is_automated(&Login::new("alice")));
         // Conservative rule: unknown logins are manual.
         assert!(!dir.is_automated(&Login::new("some-script-under-user-acct")));

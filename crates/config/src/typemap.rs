@@ -56,12 +56,6 @@ pub enum ChangeType {
 }
 
 impl ChangeType {
-    /// Whether changes of this type touch middlebox-specific function
-    /// (pools live only on load balancers and ADCs).
-    pub fn is_middlebox_type(self) -> bool {
-        matches!(self, ChangeType::Pool)
-    }
-
     /// Short lowercase label used in reports (matches Fig 12(c)'s legend
     /// vocabulary: iface, pool, acl, router, user).
     pub fn label(self) -> &'static str {
@@ -257,11 +251,5 @@ mod tests {
         labels.sort_unstable();
         labels.dedup();
         assert_eq!(labels.len(), ChangeType::ALL.len());
-    }
-
-    #[test]
-    fn pool_is_the_middlebox_type() {
-        assert!(ChangeType::Pool.is_middlebox_type());
-        assert!(!ChangeType::Interface.is_middlebox_type());
     }
 }

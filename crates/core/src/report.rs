@@ -29,11 +29,6 @@ impl TextTable {
         self
     }
 
-    /// Number of data rows.
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Format a float compactly (3 significant decimals, scientific for
     /// very small magnitudes — p-values).
     pub fn num(v: f64) -> String {

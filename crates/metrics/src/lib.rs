@@ -35,4 +35,4 @@ pub use catalog::{Metric, MetricCategory, N_METRICS};
 pub use changes::{replay_device_changes, DeviceChange};
 pub use events::{group_events, ChangeEvent, DELTA_DEFAULT_MINUTES};
 pub use pipeline::{infer, infer_case_table, infer_full, Inference, NetworkInferCtx};
-pub use table::{Case, CaseTable};
+pub use table::{Case, CaseTable, NetworkSummary};

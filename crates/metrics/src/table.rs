@@ -80,6 +80,29 @@ pub struct NetworkSummary {
 }
 
 impl NetworkSummary {
+    /// The means of one network's `rows`, summed in row order; `None` when
+    /// there are no rows.
+    pub fn of<'a>(network: NetworkId, rows: impl IntoIterator<Item = &'a Case>) -> Option<Self> {
+        let mut values = vec![0.0; N_METRICS];
+        let mut tickets = 0.0;
+        let mut n_months = 0;
+        for r in rows {
+            for (v, rv) in values.iter_mut().zip(&r.values) {
+                *v += rv;
+            }
+            tickets += r.tickets;
+            n_months += 1;
+        }
+        if n_months == 0 {
+            return None;
+        }
+        let n = n_months as f64;
+        for v in &mut values {
+            *v /= n;
+        }
+        Some(Self { network, values, tickets: tickets / n, n_months })
+    }
+
     /// Mean value of one metric.
     pub fn value(&self, m: Metric) -> f64 {
         self.values[m.index()]
@@ -155,21 +178,7 @@ impl CaseTable {
         }
         grouped
             .into_iter()
-            .map(|(network, rows)| {
-                let n = rows.len() as f64;
-                let mut values = vec![0.0; N_METRICS];
-                let mut tickets = 0.0;
-                for r in &rows {
-                    for (v, rv) in values.iter_mut().zip(&r.values) {
-                        *v += rv;
-                    }
-                    tickets += r.tickets;
-                }
-                for v in &mut values {
-                    *v /= n;
-                }
-                NetworkSummary { network, values, tickets: tickets / n, n_months: rows.len() }
-            })
+            .filter_map(|(network, rows)| NetworkSummary::of(network, rows))
             .collect()
     }
 }

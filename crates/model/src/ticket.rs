@@ -65,15 +65,6 @@ pub struct Ticket {
     pub symptom: String,
 }
 
-impl Ticket {
-    /// Resolution duration in minutes, if the ticket has been resolved.
-    /// Returns `None` for open tickets and clamps negative spans (data-entry
-    /// noise) to zero.
-    pub fn duration_minutes(&self) -> Option<u64> {
-        self.resolved.map(|r| r.0.saturating_sub(self.opened.0))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,16 +87,6 @@ mod tests {
         assert!(ticket(TicketKind::MonitoringAlarm).kind.counts_toward_health());
         assert!(ticket(TicketKind::UserReport).kind.counts_toward_health());
         assert!(!ticket(TicketKind::PlannedMaintenance).kind.counts_toward_health());
-    }
-
-    #[test]
-    fn duration_computed_and_clamped() {
-        let mut t = ticket(TicketKind::UserReport);
-        assert_eq!(t.duration_minutes(), Some(60));
-        t.resolved = None;
-        assert_eq!(t.duration_minutes(), None);
-        t.resolved = Some(Timestamp(50)); // noisy record: resolved before opened
-        assert_eq!(t.duration_minutes(), Some(0));
     }
 
     #[test]

@@ -61,37 +61,14 @@ impl Topology {
         self.links.insert(link)
     }
 
-    /// Whether `x` and `y` are directly connected.
-    pub fn connected(&self, x: DeviceId, y: DeviceId) -> bool {
-        if x == y {
-            return false;
-        }
-        self.links.contains(&Link::new(x, y))
-    }
-
     /// All links, in canonical order.
     pub fn links(&self) -> impl Iterator<Item = &Link> {
         self.links.iter()
     }
 
-    /// Number of links.
-    pub fn n_links(&self) -> usize {
-        self.links.len()
-    }
-
     /// Neighbors of `d`, in ascending id order.
     pub fn neighbors(&self, d: DeviceId) -> Vec<DeviceId> {
         self.links.iter().filter_map(|l| l.other(d)).collect()
-    }
-
-    /// Degree of every device that appears in at least one link.
-    pub fn degrees(&self) -> BTreeMap<DeviceId, usize> {
-        let mut deg = BTreeMap::new();
-        for l in &self.links {
-            *deg.entry(l.a).or_insert(0) += 1;
-            *deg.entry(l.b).or_insert(0) += 1;
-        }
-        deg
     }
 
     /// Connected components over `universe` (devices with no links are
@@ -168,30 +145,16 @@ mod tests {
         let mut t = Topology::new();
         assert!(t.add_link(Link::new(d(1), d(2))));
         assert!(!t.add_link(Link::new(d(2), d(1))));
-        assert_eq!(t.n_links(), 1);
+        assert_eq!(t.links().count(), 1);
     }
 
     #[test]
-    fn connectivity_and_neighbors() {
+    fn neighbors_ascend_by_id() {
         let mut t = Topology::new();
         t.add_link(Link::new(d(1), d(2)));
         t.add_link(Link::new(d(1), d(3)));
-        assert!(t.connected(d(1), d(2)));
-        assert!(!t.connected(d(2), d(3)));
-        assert!(!t.connected(d(1), d(1)));
         assert_eq!(t.neighbors(d(1)), vec![d(2), d(3)]);
         assert_eq!(t.neighbors(d(4)), Vec::<DeviceId>::new());
-    }
-
-    #[test]
-    fn degrees() {
-        let mut t = Topology::new();
-        t.add_link(Link::new(d(1), d(2)));
-        t.add_link(Link::new(d(1), d(3)));
-        let deg = t.degrees();
-        assert_eq!(deg[&d(1)], 2);
-        assert_eq!(deg[&d(2)], 1);
-        assert!(!deg.contains_key(&d(4)));
     }
 
     #[test]

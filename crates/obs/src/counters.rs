@@ -205,9 +205,9 @@ pub static SERVE_RESPONSES_4XX: Counter = Counter::new("serve_responses_4xx");
 /// Responses sent with a 5xx status (should stay zero; any increment is a
 /// daemon bug worth a look).
 pub static SERVE_RESPONSES_5XX: Counter = Counter::new("serve_responses_5xx");
-/// Snapshot events applied through the ingest queue.
+/// Snapshot events applied by accepted `/ingest` batches.
 pub static SERVE_INGEST_SNAPSHOTS: Counter = Counter::new("serve_ingest_snapshots");
-/// Ticket events applied through the ingest queue.
+/// Ticket events applied by accepted `/ingest` batches.
 pub static SERVE_INGEST_TICKETS: Counter = Counter::new("serve_ingest_tickets");
 /// Ingest batches rejected by validation (the session was left untouched).
 pub static SERVE_INGEST_REJECTED: Counter = Counter::new("serve_ingest_rejected");

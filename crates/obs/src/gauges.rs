@@ -50,7 +50,8 @@ pub static SERVE_LATENCY_P50_US: Gauge = Gauge::new("serve_latency_p50_us");
 pub static SERVE_LATENCY_P99_US: Gauge = Gauge::new("serve_latency_p99_us");
 /// Serve request latency, maximum in microseconds.
 pub static SERVE_LATENCY_MAX_US: Gauge = Gauge::new("serve_latency_max_us");
-/// Deepest the bounded ingest queue ever got (backpressure high-water).
+/// Most ingests that ever waited at once for the session's write lock
+/// (backpressure high-water; the waiting ingest itself counts).
 pub static SERVE_QUEUE_PEAK: Gauge = Gauge::new("serve_queue_peak");
 
 /// Every registered gauge, in report order.

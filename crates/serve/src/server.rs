@@ -1,39 +1,39 @@
-//! The daemon: accept loop, router, bounded ingest queue, shutdown.
+//! The daemon: accept loop, router, single-writer ingest, shutdown.
 //!
 //! Concurrency model (DESIGN.md §14):
 //!
 //! * The [`mpa_core::AnalyticsSession`] lives behind one `RwLock`. GET
 //!   handlers take the read lock and render views from the eagerly
 //!   refreshed analytics cache, so reads never compute.
-//! * All mutation is serialized through a **bounded ingest queue**
-//!   (`mpsc::sync_channel`): one worker thread applies each batch and
-//!   refreshes the derived analytics under the write lock before
-//!   answering the submitting handler. A full queue blocks the
-//!   submitting connection — backpressure, not load shedding — so an
-//!   accepted 2xx always means "applied and visible".
+//! * All mutation goes through that lock's **write guard**: the `/ingest`
+//!   handler decodes its batch outside any lock, then applies it and
+//!   refreshes the derived analytics under the write lock, and answers
+//!   only after dropping the guard. A writer waits for its turn on the
+//!   lock — backpressure, not load shedding — so an accepted 2xx always
+//!   means "applied and visible".
 //! * Connections get one thread each (keep-alive, short read timeout).
 //!   The accept loop polls with a non-blocking listener so it can watch
 //!   the shutdown flag and the idle deadline between accepts.
 //! * Shutdown (POST `/shutdown`, or `--idle-secs` with no traffic) stops
-//!   accepting, lets in-flight connections drain, closes the ingest
-//!   queue, then records latency percentiles and queue high-water into
-//!   the observability gauges. Latencies live in fixed log-scale buckets
-//!   of relaxed atomics, so a request takes no lock to record one and a
-//!   daemon's bookkeeping does not grow with its uptime. The workspace
-//!   denies `unsafe`, so there is deliberately no signal handler;
-//!   supervisors use the HTTP shutdown or the idle deadline instead.
+//!   accepting, lets in-flight connections drain, then records latency
+//!   percentiles and the most ingests that ever waited for the write lock
+//!   into the observability gauges. Latencies live in fixed log-scale
+//!   buckets of relaxed atomics, so a request takes no lock to record one
+//!   and a daemon's bookkeeping does not grow with its uptime. The
+//!   workspace denies `unsafe`, so there is deliberately no signal
+//!   handler; supervisors use the HTTP shutdown or the idle deadline
+//!   instead.
 
 use crate::http::{self, ReadError, Request};
 use crate::views;
-use mpa_core::{AnalyticsSession, IngestBatch, IngestError, IngestOutcome};
+use mpa_core::{AnalyticsSession, IngestBatch};
 use mpa_model::NetworkId;
 use mpa_obs::counters;
 use mpa_obs::gauges;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::{mpsc, Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -42,13 +42,6 @@ use std::time::{Duration, Instant};
 const READ_TIMEOUT: Duration = Duration::from_millis(250);
 /// Accept-loop poll interval when no connection is pending.
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
-/// Ingest batches that may wait in the queue before submitters block.
-const INGEST_QUEUE_CAP: usize = 64;
-
-struct IngestJob {
-    batch: IngestBatch,
-    reply: mpsc::Sender<Result<IngestOutcome, IngestError>>,
-}
 
 struct Shared {
     session: RwLock<AnalyticsSession>,
@@ -56,12 +49,11 @@ struct Shared {
     started: Instant,
     /// Milliseconds since `started` of the most recent request or accept.
     last_activity_ms: AtomicU64,
-    /// Submitted-but-unapplied ingest batches, and the deepest that got.
+    /// Ingests waiting for the write lock, and the most that ever did.
     queue_depth: AtomicU64,
     queue_peak: AtomicU64,
     /// Per-request latencies (read into gauges at shutdown).
     latencies: Latencies,
-    ingest_tx: Mutex<Option<SyncSender<IngestJob>>>,
 }
 
 impl Shared {
@@ -81,7 +73,6 @@ pub struct Server {
     listener: TcpListener,
     local_addr: SocketAddr,
     shared: Arc<Shared>,
-    ingest_worker: JoinHandle<()>,
 }
 
 impl Server {
@@ -99,15 +90,10 @@ impl Server {
             queue_depth: AtomicU64::new(0),
             queue_peak: AtomicU64::new(0),
             latencies: Latencies::default(),
-            ingest_tx: Mutex::new(None),
         });
-        let (tx, rx) = mpsc::sync_channel(INGEST_QUEUE_CAP);
-        *shared.ingest_tx.lock().unwrap_or_else(PoisonError::into_inner) = Some(tx);
-        let worker_shared = Arc::clone(&shared);
-        let ingest_worker = std::thread::spawn(move || ingest_worker(&worker_shared, &rx));
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        Ok(Server { listener, local_addr, shared, ingest_worker })
+        Ok(Server { listener, local_addr, shared })
     }
 
     /// The address the listener actually bound.
@@ -116,8 +102,8 @@ impl Server {
     }
 
     /// Serve until shut down (POST `/shutdown`, or `idle_secs` without a
-    /// request), then drain connections, close the ingest queue and record
-    /// the latency/queue gauges.
+    /// request), then drain connections and record the latency/queue
+    /// gauges.
     pub fn run(self, idle_secs: Option<u64>) -> std::io::Result<()> {
         self.listener.set_nonblocking(true)?;
         let shared = &self.shared;
@@ -152,13 +138,11 @@ impl Server {
             }
         }
 
-        // Drain: connections first (their ingest submissions must reach
-        // the queue), then the worker.
+        // Drain: every in-flight request, ingests included, finishes on its
+        // own connection's thread.
         for h in handles {
             let _ = h.join();
         }
-        drop(self.shared.ingest_tx.lock().unwrap_or_else(PoisonError::into_inner).take());
-        let _ = self.ingest_worker.join();
 
         let lat = &self.shared.latencies;
         if let (Some(p50), Some(p99)) = (lat.quantile(1, 2), lat.quantile(99, 100)) {
@@ -233,24 +217,6 @@ impl Latencies {
             seen > rank
         })?;
         Some(Self::upper_bound(i).min(self.max_us.load(Ordering::Relaxed)))
-    }
-}
-
-fn ingest_worker(shared: &Shared, rx: &Receiver<IngestJob>) {
-    for job in rx.iter() {
-        shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        let result = {
-            let mut session = shared.session.write().unwrap_or_else(PoisonError::into_inner);
-            let result = session.ingest(job.batch);
-            if result.is_ok() {
-                // Refresh under the write lock: once the submitter hears
-                // 2xx, every read path sees the new corpus *and* the new
-                // analytics.
-                session.refresh();
-            }
-            result
-        };
-        let _ = job.reply.send(result);
     }
 }
 
@@ -358,7 +324,7 @@ fn with_analytics(
     let session = shared.read();
     match session.analytics_cached() {
         Some(a) => (200, f(&session, a)),
-        // Unreachable in practice: bind() and the ingest worker refresh
+        // Unreachable in practice: bind() and every ingest refresh
         // eagerly. Kept as a response, not an assert — the daemon must
         // not panic.
         None => (503, views::error_body("analytics not materialized")),
@@ -391,22 +357,28 @@ fn ingest(shared: &Shared, req: &Request) -> (u16, String) {
         Ok(b) => b,
         Err(e) => return (400, views::error_body(&format!("ingest body is not a batch: {e}"))),
     };
-    let tx = {
-        let guard = shared.ingest_tx.lock().unwrap_or_else(PoisonError::into_inner);
-        guard.clone()
-    };
-    let Some(tx) = tx else {
-        return (503, views::error_body("shutting down"));
-    };
+    // Apply in a block of its own, so the write guard drops before the
+    // reply is written.
     let depth = shared.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
     shared.queue_peak.fetch_max(depth, Ordering::Relaxed);
-    let (reply_tx, reply_rx) = mpsc::channel();
-    if tx.send(IngestJob { batch, reply: reply_tx }).is_err() {
+    let result = {
+        let guard = shared.session.write();
         shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        return (503, views::error_body("shutting down"));
-    }
-    match reply_rx.recv() {
-        Ok(Ok(outcome)) => {
+        // Poisoned: an earlier apply panicked part-way through its batch,
+        // so no later batch may build on what it left.
+        let Ok(mut session) = guard else {
+            return (503, views::error_body("ingest unavailable: an earlier ingest failed"));
+        };
+        let result = session.ingest(batch);
+        if result.is_ok() {
+            // Refresh under the write lock: once this handler answers 2xx,
+            // every read path sees the new corpus *and* the new analytics.
+            session.refresh();
+        }
+        result
+    };
+    match result {
+        Ok(outcome) => {
             counters::SERVE_INGEST_SNAPSHOTS.add(outcome.snapshots as u64);
             counters::SERVE_INGEST_TICKETS.add(outcome.tickets as u64);
             (
@@ -421,17 +393,54 @@ fn ingest(shared: &Shared, req: &Request) -> (u16, String) {
                 ),
             )
         }
-        Ok(Err(e)) => {
+        Err(e) => {
             counters::SERVE_INGEST_REJECTED.add(1);
             (422, views::error_body(&e.to_string()))
         }
-        Err(_) => (503, views::error_body("shutting down")),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpa_core::SessionConfig;
+    use mpa_synth::Scenario;
+
+    fn request(method: &str, path: &str, body: &str) -> Request {
+        Request {
+            method: method.to_string(),
+            path: path.to_string(),
+            query: Vec::new(),
+            body: body.as_bytes().to_vec(),
+            keep_alive: true,
+        }
+    }
+
+    #[test]
+    fn a_poisoned_session_refuses_ingests_and_still_serves_reads() {
+        let session = AnalyticsSession::new(Scenario::tiny().generate(), SessionConfig::default());
+        let server = Server::bind(session, "127.0.0.1:0").expect("bind");
+        let shared = Arc::clone(&server.shared);
+        let (status, _) = route(&shared, &request("GET", "/healthz", ""));
+        assert_eq!(status, 200);
+        let healthz = views::healthz(&shared.read());
+
+        // An apply that panics while it holds the write guard.
+        let writer = Arc::clone(&shared);
+        let applied = std::thread::spawn(move || {
+            let _guard = writer.session.write();
+            panic!("apply failed part-way");
+        })
+        .join();
+        assert!(applied.is_err() && shared.session.is_poisoned());
+
+        let empty = "{\"snapshots\": [], \"tickets\": []}";
+        let (status, body) = route(&shared, &request("POST", "/ingest", empty));
+        assert_eq!(status, 503, "{body}");
+        assert_eq!(route(&shared, &request("GET", "/healthz", "")), (200, healthz));
+        let waits = [&shared.queue_depth, &shared.queue_peak].map(|a| a.load(Ordering::Relaxed));
+        assert_eq!(waits, [0, 1], "the refused ingest waited once, then stopped waiting");
+    }
 
     #[test]
     fn every_latency_lands_in_the_bucket_that_bounds_it() {

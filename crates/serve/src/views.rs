@@ -7,7 +7,7 @@
 //! holding equal sessions produce byte-identical response bodies.
 
 use mpa_core::{Analytics, AnalyticsSession};
-use mpa_metrics::{Case, Metric};
+use mpa_metrics::{Case, Metric, NetworkSummary};
 use mpa_model::NetworkId;
 use mpa_obs::json::push_str_literal;
 
@@ -85,24 +85,13 @@ pub fn practices(session: &AnalyticsSession, id: NetworkId) -> Option<String> {
         out.push_str(&c.month.to_string());
     }
     out.push_str("], \"means\": ");
-    if cases.is_empty() {
-        out.push_str("null");
-    } else {
-        let n = cases.len() as f64;
-        let mut means = vec![0.0; Metric::ALL.len()];
-        let mut tickets = 0.0;
-        for c in cases {
-            for (m, v) in means.iter_mut().zip(&c.values) {
-                *m += v;
-            }
-            tickets += c.tickets;
+    match NetworkSummary::of(id, cases) {
+        Some(means) => {
+            push_metric_values(&mut out, &means.values);
+            out.push_str(", \"mean_tickets\": ");
+            push_f64(&mut out, means.tickets);
         }
-        for m in &mut means {
-            *m /= n;
-        }
-        push_metric_values(&mut out, &means);
-        out.push_str(", \"mean_tickets\": ");
-        push_f64(&mut out, tickets / n);
+        None => out.push_str("null"),
     }
     out.push_str(", \"cases\": [");
     for (i, c) in cases.iter().enumerate() {

@@ -446,6 +446,9 @@ fn graceful_shutdown_drains_and_writes_the_obs_report() {
     };
     assert_eq!(number("counters", "serve_responses_2xx"), REQUESTS as u64 + 1);
     assert_eq!(number("counters", "serve_ingest_tickets"), (REQUESTS / INGEST_EVERY) as u64);
+    // Each ingest waited for the write lock, so at least one was counted
+    // waiting.
+    assert!(number("gauges", "serve_queue_peak") >= 1, "serve_queue_peak");
     let [p50, p99, max] = ["p50", "p99", "max"]
         .map(|q| number("gauges", &format!("serve_latency_{q}_us")));
     assert!(0 < p50 && p50 <= p99 && p99 <= max, "latency gauges {p50} {p99} {max}");
@@ -458,14 +461,27 @@ fn concurrent_ingest_replies_count_their_own_batch() {
     // the replies read 1..=2N, each once.
     const PER_CLIENT: u32 = 12;
     let daemon = Daemon::spawn(&[]);
-    let session = tiny_session();
+    let mut session = tiny_session();
     let net = session.dataset().networks[0].id;
     let horizon = session.dataset().period.total_minutes();
+    let batch = |client: u32, k: u32| IngestBatch {
+        snapshots: vec![],
+        tickets: vec![Ticket {
+            id: TicketId(92_000_000 + client * 1_000 + k),
+            network: net,
+            kind: TicketKind::MonitoringAlarm,
+            opened: Timestamp(horizon / 2),
+            resolved: None,
+            devices: vec![],
+            severity: TicketSeverity::Low,
+            symptom: "concurrent ingest".to_string(),
+        }],
+    };
     let start = std::sync::Barrier::new(2);
     let mut replies: Vec<u64> = std::thread::scope(|scope| {
         let clients: Vec<_> = (0..2u32)
             .map(|client| {
-                let (addr, start) = (&daemon.addr, &start);
+                let (addr, start, batch) = (&daemon.addr, &start, &batch);
                 scope.spawn(move || {
                     let stream = TcpStream::connect(addr).expect("connect to daemon");
                     stream.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
@@ -473,20 +489,8 @@ fn concurrent_ingest_replies_count_their_own_batch() {
                     start.wait();
                     (0..PER_CLIENT)
                         .map(|k| {
-                            let batch = IngestBatch {
-                                snapshots: vec![],
-                                tickets: vec![Ticket {
-                                    id: TicketId(92_000_000 + client * 1_000 + k),
-                                    network: net,
-                                    kind: TicketKind::MonitoringAlarm,
-                                    opened: Timestamp(horizon / 2),
-                                    resolved: None,
-                                    devices: vec![],
-                                    severity: TicketSeverity::Low,
-                                    symptom: "concurrent ingest".to_string(),
-                                }],
-                            };
-                            let body = serde_json::to_string(&batch).expect("serializes");
+                            let body =
+                                serde_json::to_string(&batch(client, k)).expect("serializes");
                             let request = format!(
                                 "POST /ingest HTTP/1.1\r\nHost: test\r\n\
                                  Content-Length: {}\r\n\r\n{body}",
@@ -510,6 +514,20 @@ fn concurrent_ingest_replies_count_their_own_batch() {
     });
     replies.sort_unstable();
     assert_eq!(replies, (1..=2 * u64::from(PER_CLIENT)).collect::<Vec<u64>>());
+
+    // No write was lost or doubled: the daemon serves what a session fed
+    // the same 2N batches serves. Ticket batches commute, so the order the
+    // daemon applied them in does not matter.
+    for client in 0..2 {
+        for k in 0..PER_CLIENT {
+            session.ingest(batch(client, k)).expect("in-process ingest");
+        }
+    }
+    assert_eq!(daemon.get("/healthz").1, views::healthz(&session));
+    assert_eq!(
+        daemon.get(&format!("/networks/{}/practices", net.0)).1,
+        views::practices(&session, net).expect("known network")
+    );
 }
 
 #[test]

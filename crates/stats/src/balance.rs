@@ -73,11 +73,6 @@ impl BalanceCheck {
     }
 }
 
-/// Convenience: whether a single covariate passes both thresholds.
-pub fn balance_ok(treated: &[f64], untreated: &[f64]) -> bool {
-    BalanceCheck::compute(treated, untreated).is_balanced()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,13 +109,13 @@ mod tests {
     fn small_shift_within_threshold_is_balanced() {
         let t = [1.0, 2.0, 3.0, 4.0, 5.0];
         let u = [1.1, 2.1, 3.1, 4.1, 5.1];
-        assert!(balance_ok(&t, &u));
+        assert!(BalanceCheck::compute(&t, &u).is_balanced());
     }
 
     #[test]
     fn degenerate_constant_groups() {
         // Both constant & equal → balanced.
-        assert!(balance_ok(&[2.0, 2.0], &[2.0, 2.0]));
+        assert!(BalanceCheck::compute(&[2.0, 2.0], &[2.0, 2.0]).is_balanced());
         // Both constant, different value → imbalanced via sentinel.
         let c = BalanceCheck::compute(&[2.0, 2.0], &[3.0, 3.0]);
         assert!(!c.is_balanced());

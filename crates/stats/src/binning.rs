@@ -47,14 +47,6 @@ impl Binner {
         Self::fit_percentile(values, n_bins, 5.0, 95.0)
     }
 
-    /// Construct with explicit bounds (used by tests and by treatment
-    /// binning, where bounds must be shared across analyses).
-    pub fn with_bounds(lo: f64, hi: f64, n_bins: usize) -> Self {
-        assert!(n_bins > 0, "need at least one bin");
-        assert!(lo <= hi, "lo must not exceed hi");
-        Self { lo, hi, n_bins }
-    }
-
     /// The same bounds split into `n_bins` bins: what fitting the same
     /// values with `n_bins` would give, with nothing refitted.
     ///
@@ -63,24 +55,6 @@ impl Binner {
     pub fn with_bins(&self, n_bins: usize) -> Self {
         assert!(n_bins > 0, "need at least one bin");
         Self { lo: self.lo, hi: self.hi, n_bins }
-    }
-
-    /// Number of bins.
-    #[inline]
-    pub fn n_bins(&self) -> usize {
-        self.n_bins
-    }
-
-    /// Lower bound of the binned range (5th percentile when fitted).
-    #[inline]
-    pub fn lo(&self) -> f64 {
-        self.lo
-    }
-
-    /// Upper bound of the binned range (95th percentile when fitted).
-    #[inline]
-    pub fn hi(&self) -> f64 {
-        self.hi
     }
 
     /// Bin index for `x`, in `0..n_bins`. Values below the range clamp to the
@@ -128,8 +102,8 @@ mod tests {
         // 0..=100 → p5 = 5, p95 = 95.
         let values: Vec<f64> = (0..=100).map(f64::from).collect();
         let b = Binner::fit(&values, 10);
-        assert_eq!(b.lo(), 5.0);
-        assert_eq!(b.hi(), 95.0);
+        assert_eq!(b.lo, 5.0);
+        assert_eq!(b.hi, 95.0);
         assert_eq!(b.bin(-100.0), 0);
         assert_eq!(b.bin(0.0), 0);
         assert_eq!(b.bin(5.0), 0);
@@ -139,7 +113,7 @@ mod tests {
 
     #[test]
     fn equal_width_interior() {
-        let b = Binner::with_bounds(0.0, 10.0, 10);
+        let b = Binner { lo: 0.0, hi: 10.0, n_bins: 10 };
         assert_eq!(b.bin(0.5), 0);
         assert_eq!(b.bin(1.5), 1);
         assert_eq!(b.bin(9.5), 9);
@@ -224,8 +198,8 @@ mod tests {
                 prop_assert_eq!(crate::percentile(&values, p_lo).to_bits(), want_lo);
                 for &p_hi in &ps[i + 1..] {
                     let b = Binner::fit_percentile(&values, 10, p_lo, p_hi);
-                    prop_assert_eq!(b.lo().to_bits(), want_lo);
-                    prop_assert_eq!(b.hi().to_bits(), sorted_percentile(&values, p_hi).to_bits());
+                    prop_assert_eq!(b.lo.to_bits(), want_lo);
+                    prop_assert_eq!(b.hi.to_bits(), sorted_percentile(&values, p_hi).to_bits());
                 }
             }
         }

@@ -2,8 +2,8 @@
 //!
 //! Appendix A's figures (11–13) are CDFs over per-network metric values;
 //! Figure 7 compares confounder CDFs between matched groups. [`Ecdf`]
-//! supports both: evaluation at arbitrary points, fraction queries and
-//! sampled curves for plotting/reporting.
+//! supports both: evaluation at arbitrary points, tail fractions and the
+//! two-sample Kolmogorov–Smirnov distance.
 
 use serde::{Deserialize, Serialize};
 
@@ -43,37 +43,6 @@ impl Ecdf {
         1.0 - self.eval(x)
     }
 
-    /// Fraction of observations in `[lo, hi]`.
-    pub fn frac_between(&self, lo: f64, hi: f64) -> f64 {
-        if self.sorted.is_empty() || hi < lo {
-            return 0.0;
-        }
-        let below_lo = self.sorted.partition_point(|&v| v < lo);
-        let upto_hi = self.sorted.partition_point(|&v| v <= hi);
-        (upto_hi - below_lo) as f64 / self.sorted.len() as f64
-    }
-
-    /// Sample the CDF curve at `k` evenly spaced x positions across the data
-    /// range, returning `(x, F(x))` pairs — the series a plot would draw.
-    /// Returns an empty vec for an empty sample; a single point for constant
-    /// data.
-    pub fn curve(&self, k: usize) -> Vec<(f64, f64)> {
-        if self.sorted.is_empty() || k == 0 {
-            return Vec::new();
-        }
-        let lo = self.sorted[0];
-        let hi = *self.sorted.last().expect("non-empty");
-        if (hi - lo).abs() < 1e-300 || k == 1 {
-            return vec![(lo, 1.0)];
-        }
-        (0..k)
-            .map(|i| {
-                let x = lo + (hi - lo) * i as f64 / (k - 1) as f64;
-                (x, self.eval(x))
-            })
-            .collect()
-    }
-
     /// Maximum vertical distance to another ECDF (two-sample
     /// Kolmogorov–Smirnov statistic), evaluated at all jump points of both
     /// samples. Used to quantify Fig 7's "visual equivalence" numerically.
@@ -110,34 +79,6 @@ mod tests {
     fn empty_sample() {
         let e = Ecdf::new(vec![]);
         assert_eq!(e.eval(1.0), 0.0);
-        assert!(e.curve(10).is_empty());
-    }
-
-    #[test]
-    fn frac_between_inclusive() {
-        let e = Ecdf::new(vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(e.frac_between(2.0, 3.0), 0.5);
-        assert_eq!(e.frac_between(0.0, 10.0), 1.0);
-        assert_eq!(e.frac_between(5.0, 1.0), 0.0);
-    }
-
-    #[test]
-    fn curve_spans_range_and_ends_at_one() {
-        let e = Ecdf::new((1..=100).map(f64::from).collect());
-        let c = e.curve(11);
-        assert_eq!(c.len(), 11);
-        assert_eq!(c[0].0, 1.0);
-        assert_eq!(c[10].0, 100.0);
-        assert_eq!(c[10].1, 1.0);
-        for w in c.windows(2) {
-            assert!(w[0].1 <= w[1].1, "CDF must be monotone");
-        }
-    }
-
-    #[test]
-    fn constant_data_curve() {
-        let e = Ecdf::new(vec![5.0; 4]);
-        assert_eq!(e.curve(10), vec![(5.0, 1.0)]);
     }
 
     #[test]

@@ -20,14 +20,14 @@
 //! * [`balance`] — standardized difference of means and variance ratio, the
 //!   match-quality diagnostics of §5.2.4.
 //! * [`linalg`] — the small dense-matrix kernel (Cholesky solve) backing IRLS.
-//! * [`sampling`] — seeded samplers (Poisson, normal, log-normal, Pareto,
-//!   weighted choice) used by the synthetic-organization generator. These are
+//! * [`sampling`] — seeded samplers (Poisson, normal, log-normal, weighted
+//!   choice) used by the synthetic-organization generator. These are
 //!   implemented here rather than pulled from `rand_distr` so they are
 //!   bit-reproducible and unit-tested in-repo.
 //! * [`corr`] — Pearson correlation (Appendix A reports correlation
 //!   coefficients).
 //! * [`histogram`] — empirical CDFs backing the Appendix A figures.
-//! * [`special`] — log-gamma / log-choose / normal CDF primitives.
+//! * [`special`] — log-gamma / log-choose primitives.
 
 pub mod balance;
 pub mod binning;
@@ -41,7 +41,7 @@ pub mod signtest;
 pub mod special;
 pub mod summary;
 
-pub use balance::{balance_ok, std_diff_of_means, variance_ratio, BalanceCheck};
+pub use balance::{std_diff_of_means, variance_ratio, BalanceCheck};
 pub use binning::Binner;
 pub use corr::pearson;
 pub use entropy::{conditional_mutual_information, mutual_information, normalized_entropy};

@@ -7,8 +7,8 @@
 //!
 //! [`Sampler`] wraps any [`rand::Rng`] with the distributions MPA needs:
 //! Poisson (ticket and change counts), normal / log-normal (size scales and
-//! heavy-tailed metrics), Pareto (extreme tails), Bernoulli and weighted
-//! choice (mixture components).
+//! heavy-tailed metrics), Bernoulli and weighted choice (mixture
+//! components).
 
 use rand::Rng;
 
@@ -65,13 +65,6 @@ impl<'a, R: Rng> Sampler<'a, R> {
     /// Log-normal: `exp(N(mu, sigma))`. `mu`/`sigma` are in log space.
     pub fn log_normal(&mut self, mu: f64, sigma: f64) -> f64 {
         self.normal(mu, sigma).exp()
-    }
-
-    /// Pareto with scale `x_m > 0` and shape `alpha > 0`.
-    pub fn pareto(&mut self, x_m: f64, alpha: f64) -> f64 {
-        assert!(x_m > 0.0 && alpha > 0.0, "pareto parameters must be positive");
-        let u = (1.0 - self.uniform()).max(f64::MIN_POSITIVE);
-        x_m * u.powf(-1.0 / alpha)
     }
 
     /// Poisson with rate `lambda >= 0`.
@@ -202,17 +195,6 @@ mod tests {
         // Median of LogNormal(μ, σ) = e^μ.
         assert!((med - 2f64.exp()).abs() / 2f64.exp() < 0.05, "median {med}");
         assert!(draws.iter().all(|&x| x > 0.0));
-    }
-
-    #[test]
-    fn pareto_tail_heaviness() {
-        let mut r = rng(5);
-        let mut s = Sampler::new(&mut r);
-        let draws: Vec<f64> = (0..50_000).map(|_| s.pareto(1.0, 1.5)).collect();
-        assert!(draws.iter().all(|&x| x >= 1.0));
-        // P[X > 10] = 10^-1.5 ≈ 0.0316.
-        let frac = draws.iter().filter(|&&x| x > 10.0).count() as f64 / draws.len() as f64;
-        assert!((frac - 0.0316).abs() < 0.01, "tail fraction {frac}");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Special functions: log-gamma, log-binomial-coefficient, standard normal
-//! CDF. These back the sign test and the samplers.
+//! Special functions: log-gamma and log-binomial-coefficient. These back
+//! the sign test and the samplers.
 
 /// Natural log of the gamma function, Lanczos approximation (g = 7, n = 9).
 /// Accurate to ~1e-13 over the positive reals.
@@ -49,31 +49,6 @@ pub fn ln_choose(n: u64, k: u64) -> f64 {
     ln_gamma(n as f64 + 1.0) - ln_gamma(k as f64 + 1.0) - ln_gamma((n - k) as f64 + 1.0)
 }
 
-/// Standard normal cumulative distribution function.
-///
-/// Uses the complementary error function via the Abramowitz & Stegun 7.1.26
-/// rational approximation (|error| < 1.5e-7). Adequate for diagnostics; the
-/// sign test itself uses the exact binomial (see `signtest`), precisely
-/// because this approximation cannot resolve tail p-values like 1e-13.
-pub fn normal_cdf(z: f64) -> f64 {
-    0.5 * erfc(-z / std::f64::consts::SQRT_2)
-}
-
-/// Complementary error function, A&S 7.1.26 applied to `|x|` with symmetry.
-pub fn erfc(x: f64) -> f64 {
-    let ax = x.abs();
-    let t = 1.0 / (1.0 + 0.327_591_1 * ax);
-    let poly = t
-        * (0.254_829_592
-            + t * (-0.284_496_736 + t * (1.421_413_741 + t * (-1.453_152_027 + t * 1.061_405_429))));
-    let e = poly * (-ax * ax).exp();
-    if x >= 0.0 {
-        e
-    } else {
-        2.0 - e
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,21 +86,5 @@ mod tests {
         assert_eq!(ln_choose(5, 5), 0.0);
         assert!((ln_choose(5, 2) - f64::ln(10.0)).abs() < 1e-10);
         assert!((ln_choose(52, 5) - f64::ln(2_598_960.0)).abs() < 1e-8);
-    }
-
-    #[test]
-    fn normal_cdf_reference_points() {
-        assert!((normal_cdf(0.0) - 0.5).abs() < 1e-7);
-        assert!((normal_cdf(1.96) - 0.975).abs() < 1e-3);
-        assert!((normal_cdf(-1.96) - 0.025).abs() < 1e-3);
-        assert!(normal_cdf(8.0) > 0.999_999);
-        assert!(normal_cdf(-8.0) < 1e-6);
-    }
-
-    #[test]
-    fn erfc_symmetry() {
-        for &x in &[0.1, 0.7, 1.3, 2.5] {
-            assert!((erfc(x) + erfc(-x) - 2.0).abs() < 1e-7);
-        }
     }
 }

@@ -26,11 +26,6 @@ pub fn variance(xs: &[f64]) -> f64 {
     xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64
 }
 
-/// Sample standard deviation.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    variance(xs).sqrt()
-}
-
 /// Percentile with linear interpolation between order statistics
 /// (R type-7 / NumPy default). `p` is in `[0, 100]`.
 ///

@@ -4,9 +4,12 @@ working tree.
 
     python3 tools/ab.py --base HEAD --workload infer_paper --pairs 10 --seed 100
 
-checks the base revision out into a git worktree and builds it and the
-working tree, each into a CARGO_TARGET_DIR of its own. For pair i it then
-runs, on both sides,
+resolves the base revision to a commit, checks it out detached in a
+`git clone` of the repository (WORK/base, reused when --work is kept, so
+that an unchanged base keeps its file times and its build) and builds it
+and the working tree, each into a CARGO_TARGET_DIR of its own. Nothing is
+written under the repository's own .git. For pair i it then runs, on both
+sides,
 
     python3 perfbench/run.py --workload W --seed S+i --seconds T --trace 0
 
@@ -60,6 +63,27 @@ def run(side, path, target, args, seconds, seed):
     return metrics, units, prints[-1]
 
 
+def checkout_base(base, checkout):
+    """Check the commit `base` names out, detached, in a clone of the
+    repository at `checkout`, cloning only when no earlier run left one
+    there; returns the commit."""
+    resolved = subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify", "--quiet", base + "^{commit}"],
+                              stdout=subprocess.PIPE, text=True)
+    if resolved.returncode != 0:
+        sys.exit(f"ab: --base {base} names no commit in {ROOT}")
+    commit = resolved.stdout.strip()
+    if not os.path.isdir(os.path.join(checkout, ".git")):
+        subprocess.run(["git", "clone", "--quiet", "--no-checkout", ROOT, checkout], check=True)
+    known = subprocess.run(["git", "-C", checkout, "cat-file", "-e", commit + "^{commit}"],
+                           stderr=subprocess.DEVNULL)
+    if known.returncode != 0:
+        subprocess.run(["git", "-C", checkout, "fetch", "--quiet", ROOT, commit], check=True)
+    # Files the commit shares with the last checkout are left untouched, so
+    # cargo rebuilds only what changed.
+    subprocess.run(["git", "-C", checkout, "checkout", "--quiet", "--force", "--detach", commit], check=True)
+    return commit
+
+
 def quartiles(values):
     if len(values) == 1:
         return values * 3
@@ -93,18 +117,17 @@ def main():
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=lambda v: int(v, 0), required=True, help="pair i runs at seed S+i")
     p.add_argument("--trace", type=int, default=0, choices=[0, 1])
-    p.add_argument("--work", help="directory for the worktree and both builds (default: a new temporary one)")
+    p.add_argument("--work", help="directory for the base clone and both builds (default: a new temporary one)")
     args = p.parse_args()
 
     work = os.path.abspath(args.work or tempfile.mkdtemp(prefix="mpa-ab-"))
     os.makedirs(work, exist_ok=True)
     checkout = os.path.join(work, "base")
-    subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach", "--force", checkout, args.base],
-                   check=True, stdout=subprocess.DEVNULL)
     sides = [("base", checkout, os.path.join(work, "target-base")),
              ("head", ROOT, os.path.join(work, "target-head"))]
     seconds, better = load_benchmark()
     try:
+        commit = checkout_base(args.base, checkout)
         runs, units = [], {}
         for i in range(args.pairs):
             seed = args.seed + i
@@ -116,10 +139,9 @@ def main():
                 sys.exit(f"ab: output fingerprints differ at seed {seed}: base {base_print}, head {head_print}")
             runs.append((base, head))
         print(f"\n{args.workload}: {len(runs)} pairs, seeds {args.seed}..{args.seed + len(runs) - 1}, "
-              f"base {args.base}, fingerprints equal at every seed")
+              f"base {args.base} ({commit[:12]}), fingerprints equal at every seed")
         report(runs, units, better)
     finally:
-        subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", checkout], stdout=subprocess.DEVNULL)
         if not args.work:
             shutil.rmtree(work, ignore_errors=True)
 
