@@ -83,10 +83,9 @@ fn main() {
         .then(|| Fixture::custom(&scale.scenario().with_degrade(degrade)));
     let fx = custom.as_ref().unwrap_or_else(|| by_scale(scale));
 
-    // Publish the scenario coverage scan (RunReport carries it) and print
-    // the one-line exercised/total summary per dimension.
+    // Scan the scenario coverage (the RunReport carries it) and print the
+    // one-line exercised/total summary per dimension.
     let coverage = CoverageReport::scan(&fx.dataset);
-    coverage.publish();
     let summary: Vec<String> = ["dialect", "change_type", "stanza_kind", "degrade_knob"]
         .iter()
         .map(|dim| {
@@ -119,7 +118,8 @@ fn main() {
         }
     }
     if let Some(path) = &obs_out {
-        let report = mpa_obs::RunReport::gather();
+        let mut report = mpa_obs::RunReport::gather();
+        report.coverage = coverage.into_obs();
         report.write(path).unwrap_or_else(|e| {
             eprintln!("cannot write {path}: {e}");
             std::process::exit(1);

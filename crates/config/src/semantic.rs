@@ -253,11 +253,6 @@ impl DeviceConfig {
 
     // --- ACL operations ---------------------------------------------------
 
-    /// Create an empty ACL (idempotent).
-    pub fn add_acl(&mut self, name: impl Into<String>) {
-        self.acls.entry(name.into()).or_default();
-    }
-
     /// Append a rule to an ACL, creating the ACL if needed.
     pub fn acl_add_rule(&mut self, name: &str, rule: AclRule) {
         self.acls.entry(name.to_string()).or_default().rules.push(rule);

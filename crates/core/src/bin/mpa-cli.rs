@@ -37,8 +37,9 @@ fn main() {
     // Spans are the only timer: every phase runs inside a root span, and
     // each root span becomes one `[mpa] <phase>: <elapsed>` stderr line.
     mpa_obs::install_collector();
+    let mut coverage = Vec::new();
     match command.as_str() {
-        "generate" => generate(&opts),
+        "generate" => coverage = generate(&opts).into_obs(),
         "infer" => infer(&opts),
         "analyze" => analyze(&opts, &opts.load_table()),
         "predict" => predict(&opts, &opts.load_table()),
@@ -54,7 +55,8 @@ fn main() {
         }
     }
     // Gather once: the report drains the span collector.
-    let report = mpa_obs::RunReport::gather();
+    let mut report = mpa_obs::RunReport::gather();
+    report.coverage = coverage;
     for span in &report.spans {
         eprintln!("[mpa] {}: {:.2?}", span.label, Duration::from_nanos(span.wall_nanos));
     }
@@ -181,7 +183,9 @@ impl Opts {
     }
 }
 
-fn generate(opts: &Opts) {
+/// Generate and write a dataset; returns its coverage scan for the run
+/// report.
+fn generate(opts: &Opts) -> CoverageReport {
     let mut scenario = match opts.scale.as_deref().unwrap_or("small") {
         "tiny" => Scenario::tiny(),
         "small" => Scenario::small(),
@@ -218,9 +222,7 @@ fn generate(opts: &Opts) {
             st.tickets_corrupted
         );
     }
-    // Publish the coverage scan so an `--obs-out` report carries it.
     let coverage = CoverageReport::scan(&dataset);
-    coverage.publish();
     for dim in ["dialect", "change_type", "stanza_kind", "degrade_knob"] {
         let (ex, total) = coverage.exercised(dim);
         eprintln!("coverage: {dim} {ex}/{total}");
@@ -232,6 +234,7 @@ fn generate(opts: &Opts) {
         std::process::exit(1);
     });
     eprintln!("wrote {out}");
+    coverage
 }
 
 fn infer(opts: &Opts) {

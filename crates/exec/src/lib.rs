@@ -88,18 +88,6 @@ where
     // counts (the obs counter contract).
     mpa_obs::counters::PAR_MAP_REGIONS.incr();
     mpa_obs::counters::PAR_MAP_TASKS.add(items.len() as u64);
-    par_map_impl(items, f)
-}
-
-/// The uncounted engine behind [`par_map`] (also driven by
-/// [`par_chunk_map`], which counts its own logical items rather than the
-/// chunks it schedules).
-fn par_map_impl<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
     let n_threads = threads().min(items.len());
     if n_threads <= 1 || IN_WORKER.with(Cell::get) {
         mpa_obs::sched::record_worker(0, items.len() as u64);
@@ -182,36 +170,6 @@ fn thread_cpu_ns() -> Option<u64> {
     Some((utime + stime) * 10_000_000)
 }
 
-/// Map `f` over contiguous chunks of `items` in parallel, concatenating the
-/// per-chunk outputs in order.
-///
-/// For flat per-element work (e.g. classifying every instance of a learn
-/// set) where spawning per element would drown the work in bookkeeping.
-/// `min_chunk` bounds how finely the input is split; outputs must be
-/// one-per-element for the concatenation to line up with the input.
-pub fn par_chunk_map<T, R, F>(items: &[T], min_chunk: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&[T]) -> Vec<R> + Sync,
-{
-    let min_chunk = min_chunk.max(1);
-    // Counted in input elements (not chunks): chunk geometry depends on
-    // the thread count, element totals do not.
-    mpa_obs::counters::PAR_MAP_REGIONS.incr();
-    mpa_obs::counters::PAR_MAP_TASKS.add(items.len() as u64);
-    let n_threads = threads().min(items.len().div_ceil(min_chunk));
-    if n_threads <= 1 || IN_WORKER.with(Cell::get) {
-        // Record logical items, matching `par_map`'s fallback — scheduling
-        // stats must not undercount single-threaded runs.
-        mpa_obs::sched::record_worker(0, items.len() as u64);
-        return f(items);
-    }
-    let chunk = items.len().div_ceil(n_threads);
-    let chunks: Vec<&[T]> = items.chunks(chunk).collect();
-    par_map_impl(&chunks, |_, c| f(c)).into_iter().flatten().collect()
-}
-
 /// Map `f` over `items` **by value** on the configured worker threads,
 /// returning results in input order.
 ///
@@ -224,9 +182,9 @@ where
 /// (a slot is touched by exactly one worker) and is noise at the coarse
 /// granularity this crate schedules.
 ///
-/// Determinism and observability follow [`par_map`]: results are merged in
-/// input order, and regions/tasks are counted before the
-/// sequential-fallback check.
+/// It runs [`par_map`] over the slots, so determinism and observability
+/// are `par_map`'s: results are merged in input order, and regions/tasks
+/// are counted before the sequential-fallback check.
 ///
 /// # Panics
 /// Propagates panics from `f` (the first panicking worker aborts the map).
@@ -236,11 +194,9 @@ where
     R: Send,
     F: Fn(usize, T) -> R + Sync,
 {
-    mpa_obs::counters::PAR_MAP_REGIONS.incr();
-    mpa_obs::counters::PAR_MAP_TASKS.add(items.len() as u64);
     let slots: Vec<std::sync::Mutex<Option<T>>> =
         items.into_iter().map(|t| std::sync::Mutex::new(Some(t))).collect();
-    par_map_impl(&slots, |i, slot| {
+    par_map(&slots, |i, slot| {
         let item = slot
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -339,14 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn par_chunk_map_concatenates_in_order() {
-        let items: Vec<u32> = (0..1000).collect();
-        let _threads = ThreadGuard::pin(4);
-        let out = par_chunk_map(&items, 16, |chunk| chunk.iter().map(|x| x + 1).collect());
-        assert_eq!(out, (1..=1000).collect::<Vec<u32>>());
-    }
-
-    #[test]
     fn nested_par_map_stays_sequential() {
         let _threads = ThreadGuard::pin(4);
         let outer: Vec<usize> = par_map(&[10usize, 20, 30], |_, &n| {
@@ -392,26 +340,6 @@ mod tests {
     }
 
     #[test]
-    fn par_chunk_map_fallback_records_logical_items() {
-        // Regression: the sequential fallback used to record a single
-        // scheduling unit regardless of input size, undercounting
-        // `--threads 1` runs relative to `par_map`'s fallback.
-        let _threads = ThreadGuard::pin(1);
-        let before = mpa_obs::sched::snapshot();
-        let items: Vec<u32> = (0..137).collect();
-        let _ = par_chunk_map(&items, 8, |c| c.to_vec());
-        let after = mpa_obs::sched::snapshot();
-        let slot0 = |s: &mpa_obs::sched::SchedSnapshot| s.worker_tasks.first().copied().unwrap_or(0);
-        assert!(
-            slot0(&after) >= slot0(&before) + 137,
-            "fallback must record all {} items on slot 0 (before {}, after {})",
-            items.len(),
-            slot0(&before),
-            slot0(&after)
-        );
-    }
-
-    #[test]
     fn stream_seeds_are_distinct() {
         let mut seen = std::collections::BTreeSet::new();
         for k in 0..10_000 {
@@ -427,7 +355,6 @@ mod tests {
         let empty: Vec<u8> = Vec::new();
         assert!(par_map(&empty, |_, &x| x).is_empty());
         assert_eq!(par_map(&[5u8], |i, &x| (i, x)), vec![(0, 5)]);
-        assert!(par_chunk_map(&empty, 8, |c| c.to_vec()).is_empty());
     }
 
     #[test]
@@ -448,12 +375,11 @@ mod tests {
         let before = mpa_obs::counters::snapshot();
         let items: Vec<u32> = (0..100).collect();
         let _ = par_map(&items, |_, &x| x);
-        let _ = par_chunk_map(&items, 10, |c| c.to_vec());
         let diff = mpa_obs::counters::snapshot_diff(&before, &mpa_obs::counters::snapshot());
         let get = |name: &str| diff.iter().find(|(n, _)| *n == name).unwrap().1;
         // Other tests may run par_map concurrently, so totals are lower
-        // bounds: both calls counted, both in input elements.
-        assert!(get("par_map_regions") >= 2);
-        assert!(get("par_map_tasks") >= 200);
+        // bounds: the call counted once, in input elements.
+        assert!(get("par_map_regions") >= 1);
+        assert!(get("par_map_tasks") >= 100);
     }
 }

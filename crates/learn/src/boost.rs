@@ -67,11 +67,9 @@ impl AdaBoost {
         for _ in 0..config.iterations {
             mpa_obs::counters::BOOST_ROUNDS.incr();
             let tree = DecisionTree::fit(&work, config.tree);
-            // Misclassified positions, predicted in chunks across the
-            // worker threads; outputs stay in position order.
-            let wrong: Vec<bool> = mpa_exec::par_chunk_map(&work.rows, 512, |chunk| {
-                chunk.iter().map(|&r| tree.predict(set.row(r)) != set.labels[r]).collect()
-            });
+            // Misclassified positions, in position order.
+            let wrong: Vec<bool> =
+                work.rows.iter().map(|&r| tree.predict(set.row(r)) != set.labels[r]).collect();
             let missed = work.weights.iter().zip(&wrong).filter(|(_, &x)| x).map(|(&w, _)| w);
             let err = missed.sum::<f64>() / work.total_weight();
 

@@ -1,4 +1,4 @@
-//! The graph-mode audit: line rules R1–R6 plus the reachability-sensitive
+//! The audit: line rules R1–R6 plus the reachability-sensitive
 //! families R7–R10, orchestrated over one shared parse of the workspace.
 //!
 //! Pipeline: read sources → sanitize once ([`SourceFile`]) → build the
@@ -20,7 +20,7 @@ use std::path::Path;
 /// The roots manifest file name, resolved against the workspace root.
 pub const ROOTS_FILE: &str = "audit_roots.txt";
 
-/// Why a graph-mode audit could not produce a report. All variants are
+/// Why an audit could not produce a report. All variants are
 /// fatal: the binary maps them to exit 2, never to a silent skip.
 #[derive(Debug)]
 pub enum AuditError {
@@ -79,12 +79,12 @@ pub fn audit_source_set(
     let dead = dead_counters(&files);
 
     let mut report = Report::new(root_label.to_string());
-    report.audit = Some(AuditStats {
+    report.audit = AuditStats {
         fns_scanned: table.fns.iter().filter(|f| !f.is_test).count() as u64,
         edges: graph.n_edges as u64,
         reachable_r7: reach_r7.len() as u64,
         reachable_r8: reach_r8.len() as u64,
-    });
+    };
     for (ix, file) in files.into_iter().enumerate() {
         let mut hits = detect(&file.rel_path, &file.code);
         audit_detect(ix, &file, &table, &reach_r7, &reach_r8, &dead, &mut hits);

@@ -21,12 +21,13 @@
 //! See [`Rule`] for the catalog, and DESIGN.md §11/§16 for the contract,
 //! the rationale and the waiver policy.
 //!
-//! The pass ships three ways so it cannot rot:
-//! - `cargo run -p mpa-lint` — the binary; graph mode is the default,
-//!   exit 0 only with zero non-waived findings, exit 2 on manifest/parse
-//!   errors, `--json FILE` writes the machine-readable report;
-//! - the `workspace_clean` integration test, which runs the same audit
-//!   under plain `cargo test` (tier-1);
+//! The audit ships three ways so it cannot rot:
+//! - `cargo run -p mpa-lint` — the binary: exit 0 only with zero
+//!   non-waived findings, exit 2 on manifest/parse errors, `--json FILE`
+//!   writes the machine-readable report;
+//! - the facade's `determinism_lint` test (tier-1 `cargo test -q`) and
+//!   this crate's `workspace_clean` test, which run the same audit
+//!   in-process;
 //! - the CI `lint` job, which uploads `lint_report.json` as an artifact and
 //!   gates `audit_fns_scanned` against a committed baseline so a silently
 //!   shrinking parse surface fails the build.
@@ -42,5 +43,5 @@ pub use audit::{audit_source_set, audit_workspace, symbols_of, AuditError, ROOTS
 pub use graph::{CallGraph, RootError, RootManifest};
 pub use report::{AuditStats, Finding, Report};
 pub use rules::Rule;
-pub use scan::{scan_source, scan_workspace, FileScan};
+pub use scan::{scan_source, FileScan};
 pub use symbols::{CallSite, CallTarget, FileLayout, FnSym, SymbolError, SymbolTable};

@@ -2,13 +2,11 @@
 //! write the JSON report.
 //!
 //! ```text
-//! mpa-lint [--root DIR] [--json FILE] [--quiet] [--graph | --no-graph]
+//! mpa-lint [--root DIR] [--json FILE] [--quiet]
 //! ```
 //!
-//! Graph mode (the full audit: line rules R1–R6 plus the reachability
-//! families R7–R10 over the workspace call graph) is the default;
-//! `--no-graph` restricts the run to the line rules, `--graph` spells the
-//! default for CI scripts that want it explicit.
+//! Every run is the full audit: line rules R1–R6 plus the reachability
+//! families R7–R10 over the workspace call graph.
 //!
 //! Exit-code contract (asserted end-to-end by `tests/cli_exit_codes.rs`):
 //! - **0** — scan completed, zero non-waived findings;
@@ -26,7 +24,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn usage(program: &str) -> String {
-    format!("usage: {program} [--root DIR] [--json FILE] [--quiet] [--graph | --no-graph]")
+    format!("usage: {program} [--root DIR] [--json FILE] [--quiet]")
 }
 
 fn is_workspace_root(dir: &Path) -> bool {
@@ -60,7 +58,6 @@ fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut json_out: Option<PathBuf> = None;
     let mut quiet = false;
-    let mut graph = true;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--root" => match args.next() {
@@ -78,8 +75,6 @@ fn main() -> ExitCode {
                 }
             },
             "--quiet" | "-q" => quiet = true,
-            "--graph" => graph = true,
-            "--no-graph" => graph = false,
             "--help" | "-h" => {
                 println!("{}", usage(&program));
                 return ExitCode::SUCCESS;
@@ -94,21 +89,11 @@ fn main() -> ExitCode {
         eprintln!("{program}: no workspace found; pass --root DIR");
         return ExitCode::from(2);
     };
-    let report = if graph {
-        match mpa_lint::audit_workspace(&root) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("{program}: cannot audit {}: {e}", root.display());
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        match mpa_lint::scan_workspace(&root) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("{program}: cannot scan {}: {e}", root.display());
-                return ExitCode::from(2);
-            }
+    let report = match mpa_lint::audit_workspace(&root) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("{program}: cannot audit {}: {e}", root.display());
+            return ExitCode::from(2);
         }
     };
     if !quiet {

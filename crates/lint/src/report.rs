@@ -9,7 +9,7 @@ use mpa_obs::json::{push_str_literal, push_u64_object};
 /// One rule hit (or waiver defect) at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule id: `R1`–`R6`, or `W1` (rejected waiver) / `W2` (unused waiver).
+    /// Rule id: `R1`–`R10`, or `W1` (rejected waiver) / `W2` (unused waiver).
     pub rule: String,
     /// Workspace-relative file path.
     pub file: String,
@@ -23,7 +23,7 @@ pub struct Finding {
     pub justification: String,
 }
 
-/// Reachability statistics from a graph-mode audit. Reported as counters
+/// Reachability statistics of the audit. Reported as counters
 /// so CI can baseline them: a silent parser regression that skips files
 /// shows up as a drop in `audit_fns_scanned`, not as a green run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -39,7 +39,7 @@ pub struct AuditStats {
 }
 
 /// Aggregated scan result over a set of files.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Report {
     /// Root directory the scan ran over (display form).
     pub root: String,
@@ -49,14 +49,14 @@ pub struct Report {
     pub lines_scanned: usize,
     /// Every finding, waived ones included, in (file, line) order.
     pub findings: Vec<Finding>,
-    /// Present when the scan ran in graph mode (the full audit).
-    pub audit: Option<AuditStats>,
+    /// Reachability statistics of the call graph the audit walked.
+    pub audit: AuditStats,
 }
 
 impl Report {
     /// Empty report for the given root.
     pub fn new(root: String) -> Self {
-        Self { root, files_scanned: 0, lines_scanned: 0, findings: Vec::new(), audit: None }
+        Self { root, ..Self::default() }
     }
 
     /// Fold one file's scan into the report.
@@ -95,12 +95,11 @@ impl Report {
         out.push(("lint_waivers_rejected".to_string(), count(&|f| f.rule == "W1")));
         out.push(("lint_waivers_unused".to_string(), count(&|f| f.rule == "W2")));
         out.push(("lint_violations".to_string(), count(&|f| !f.waived)));
-        if let Some(a) = &self.audit {
-            out.push(("audit_fns_scanned".to_string(), a.fns_scanned));
-            out.push(("audit_edges".to_string(), a.edges));
-            out.push(("audit_reachable_r7".to_string(), a.reachable_r7));
-            out.push(("audit_reachable_r8".to_string(), a.reachable_r8));
-        }
+        let a = &self.audit;
+        out.push(("audit_fns_scanned".to_string(), a.fns_scanned));
+        out.push(("audit_edges".to_string(), a.edges));
+        out.push(("audit_reachable_r7".to_string(), a.reachable_r7));
+        out.push(("audit_reachable_r8".to_string(), a.reachable_r8));
         out
     }
 
@@ -172,12 +171,11 @@ impl Report {
             violations,
             if violations == 1 { "" } else { "s" },
         ));
-        if let Some(a) = &self.audit {
-            out.push_str(&format!(
-                "mpa-audit: {} fns, {} call edges; reachable: R7={} R8={}\n",
-                a.fns_scanned, a.edges, a.reachable_r7, a.reachable_r8,
-            ));
-        }
+        let a = &self.audit;
+        out.push_str(&format!(
+            "mpa-audit: {} fns, {} call edges; reachable: R7={} R8={}\n",
+            a.fns_scanned, a.edges, a.reachable_r7, a.reachable_r8,
+        ));
         out
     }
 }

@@ -81,8 +81,9 @@ impl Rule {
     ];
 
     /// True for the reachability-sensitive rules (R7–R10) that only the
-    /// graph-mode audit evaluates; the flat line scan never fires them, so
-    /// it must not flag their waivers as unused either.
+    /// whole-workspace audit evaluates; the one-file line scan
+    /// ([`crate::scan_source`]) never fires them, so it must not flag their
+    /// waivers as unused either.
     pub fn needs_graph(self) -> bool {
         matches!(self, Rule::R7 | Rule::R8 | Rule::R9 | Rule::R10)
     }

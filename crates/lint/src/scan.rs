@@ -30,7 +30,7 @@
 //! waive anything, which is also what lets this very paragraph show the
 //! syntax.
 
-use crate::report::{Finding, Report};
+use crate::report::Finding;
 use crate::rules::{contains_word, find_word_from, is_ident_byte, Rule};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -461,7 +461,7 @@ impl SourceFile {
     /// findings, including the `W1`/`W2` waiver-defect pseudo-findings.
     /// Consumes the waiver `used` state, so call it once per file with
     /// *every* hit from *every* rule family. `graph_rules_ran` says whether
-    /// the batch includes R7–R10 hits (graph-mode audit); when false, a
+    /// the batch includes R7–R10 hits (the audit); when false, a
     /// waiver naming only graph rules is left alone rather than W2-flagged,
     /// since this scan never evaluated the rules it targets.
     pub(crate) fn resolve(mut self, mut hits: Vec<(Rule, usize)>, graph_rules_ran: bool) -> FileScan {
@@ -573,17 +573,6 @@ pub(crate) fn read_workspace_sources(root: &Path) -> std::io::Result<Vec<(String
         out.push((rel, text));
     }
     Ok(out)
-}
-
-/// Scan the workspace rooted at `root` with the line rules (R1–R6) only.
-/// The full audit — line rules plus the reachability families R7–R10 —
-/// is [`crate::audit_workspace`].
-pub fn scan_workspace(root: &Path) -> std::io::Result<Report> {
-    let mut report = Report::new(root.display().to_string());
-    for (rel, text) in read_workspace_sources(root)? {
-        report.absorb(scan_source(&rel, &text));
-    }
-    Ok(report)
 }
 
 #[cfg(test)]

@@ -60,15 +60,6 @@ fn reachable_violation_exits_one_and_names_the_site() {
 }
 
 #[test]
-fn no_graph_mode_skips_reachability_rules() {
-    // The same panicky workspace is clean under the line rules alone —
-    // the R7 family only exists in graph mode.
-    let root = mini_workspace("exit0_nograph", PANICKY, None);
-    let (code, stdout, _) = run(&root, &["--no-graph"]);
-    assert_eq!(code, 0, "stdout: {stdout}");
-}
-
-#[test]
 fn missing_roots_manifest_exits_two() {
     let root = mini_workspace("exit2_noroots", CLEAN, None);
     let (code, _, stderr) = run(&root, &[]);

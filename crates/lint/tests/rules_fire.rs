@@ -65,7 +65,7 @@ fn r6_env_read() {
     assert_rule_pair("R6", "r6_bad.rs", 2, "r6_waived.rs", 3);
 }
 
-/// Run the graph-mode audit over a single fixture file presented at
+/// Run the audit over a single fixture file presented at
 /// `rel` (the path picks the module name and the serve-boundary rules),
 /// against an inline roots manifest.
 fn audit_fixture(rel: &str, name: &str, manifest: &str) -> Vec<Finding> {

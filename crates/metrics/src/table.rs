@@ -137,6 +137,11 @@ impl CaseTable {
         &self.cases
     }
 
+    /// All rows, moved out of the table; its binned view is dropped.
+    pub fn into_cases(self) -> Vec<Case> {
+        self.cases
+    }
+
     /// Number of rows.
     pub fn n_cases(&self) -> usize {
         self.cases.len()

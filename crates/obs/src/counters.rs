@@ -130,10 +130,10 @@ pub static INFER_DELTA_BYTES: Counter = Counter::new("infer_delta_bytes");
 
 // --- parallel execution (incremented by mpa-exec) ------------------------
 
-/// Parallel regions entered (`par_map` + `par_chunk_map` calls, counted
+/// Parallel regions entered (`par_map` + `par_map_owned` calls, counted
 /// before the sequential-fallback check so the total is thread-invariant).
 pub static PAR_MAP_REGIONS: Counter = Counter::new("par_map_regions");
-/// Work items submitted to parallel regions (input elements, not chunks).
+/// Work items submitted to parallel regions.
 pub static PAR_MAP_TASKS: Counter = Counter::new("par_map_tasks");
 
 // --- discretization (incremented by mpa-metrics and mpa-core) ------------

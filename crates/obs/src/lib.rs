@@ -13,11 +13,6 @@
 //!   entire cost); every registered counter is deterministic and
 //!   thread-count invariant, which the CLI integration tests enforce at
 //!   1/2/8 workers.
-//! * **Coverage** ([`coverage`]) — which parts of the scenario space a
-//!   generated corpus exercised (stanza kinds, change types, dialects,
-//!   degradation knobs). Items are declared up front and recorded when
-//!   exercised, so unexercised items surface as explicit zeros; CI gates
-//!   on a committed baseline.
 //! * **Spans** ([`span`]) — hierarchical wall-time regions. A span is a
 //!   no-op unless a collector is installed ([`install_collector`]), so
 //!   library and test callers pay one atomic load per span. Spans are the
@@ -27,7 +22,10 @@
 //! * **The run report** ([`RunReport`]) — a JSON snapshot of the span
 //!   tree, all counters and gauges, per-worker scheduling stats and peak
 //!   RSS, written next to a run's outputs so perf regressions come with
-//!   an explanation attached.
+//!   an explanation attached. A binary that generated or loaded a corpus
+//!   also puts its scenario coverage in the report (which stanza kinds,
+//!   change types, dialects and degradation knobs it exercised, zeros
+//!   included); CI gates that section on a committed baseline.
 //!
 //! Scheduling stats ([`sched`]) are the deliberately thread-count-
 //! *dependent* section: per-worker task counts and region imbalance
@@ -38,7 +36,6 @@
 //! counter.
 
 pub mod counters;
-pub mod coverage;
 pub mod gauges;
 pub mod json;
 mod report;

@@ -21,7 +21,9 @@ pub struct RunReport {
     /// Every registered gauge value, in registry order.
     pub gauges: Vec<(&'static str, u64)>,
     /// Scenario coverage: per dimension, the exercised counts of every
-    /// declared item (zeros mark declared-but-unexercised items).
+    /// item of its universe (zeros mark unexercised items).
+    /// [`RunReport::gather`] leaves it empty; a binary that scanned its
+    /// corpus sets it.
     pub coverage: Vec<(String, Vec<(String, u64)>)>,
     /// Per-worker scheduling stats (thread-count dependent by design).
     pub sched: SchedSnapshot,
@@ -40,7 +42,7 @@ impl RunReport {
             peak_rss_bytes: peak_rss_bytes(),
             counters: counters::snapshot(),
             gauges: gauges::snapshot(),
-            coverage: crate::coverage::snapshot(),
+            coverage: Vec::new(),
             sched: crate::sched::snapshot(),
             spans: take_spans(),
         }

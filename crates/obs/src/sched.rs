@@ -18,9 +18,8 @@ static REGION_BUSY_NS: AtomicU64 = AtomicU64::new(0);
 static REGION_WALL_NS: AtomicU64 = AtomicU64::new(0);
 static MAX_REGION_WORKERS: AtomicU64 = AtomicU64::new(0);
 
-/// Record that worker slot `slot` processed `tasks` scheduling units in
-/// one region (items for `par_map`, chunks for `par_chunk_map`;
-/// sequential fallbacks record everything on slot 0).
+/// Record that worker slot `slot` processed `tasks` items in one region
+/// (sequential fallbacks record everything on slot 0).
 pub fn record_worker(slot: usize, tasks: u64) {
     // mpa-lint: allow(R7) -- min(MAX_SLOTS - 1) clamps the slot into the fixed-size array
     WORKER_TASKS[slot.min(MAX_SLOTS - 1)].fetch_add(tasks, Ordering::Relaxed);

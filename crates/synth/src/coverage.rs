@@ -6,9 +6,10 @@
 //! here makes that measurable (following *Test Coverage for Network
 //! Configurations*' framing of coverage over config corpora): it reports,
 //! per dimension, how often each item of a known universe occurs in a
-//! [`Dataset`], with explicit zeros for unexercised items. [`publish`]
-//! pushes the scan into the `mpa-obs` coverage registry so every
-//! `--obs-out` RunReport carries it, and CI gates on a committed baseline.
+//! [`Dataset`], with explicit zeros for unexercised items. The binaries
+//! that generate or load a corpus put the scan into their `--obs-out`
+//! RunReport ([`CoverageReport::into_obs`]), and CI gates on a committed
+//! baseline.
 //!
 //! Dimensions:
 //!
@@ -159,19 +160,13 @@ impl CoverageReport {
         }
     }
 
-    /// Push the scan into the process-wide `mpa-obs` coverage registry
-    /// (clearing any previous dataset's scan) so the next RunReport
-    /// carries it.
-    pub fn publish(&self) {
-        mpa_obs::coverage::reset();
-        for dim in &self.dimensions {
-            for item in &dim.items {
-                mpa_obs::coverage::declare(&dim.name, &item.name);
-                if item.count > 0 {
-                    mpa_obs::coverage::record(&dim.name, &item.name, item.count);
-                }
-            }
-        }
+    /// The scan as the `coverage` section of an `mpa-obs` RunReport:
+    /// dimensions and items in sorted name order, zeros included.
+    pub fn into_obs(self) -> Vec<(String, Vec<(String, u64)>)> {
+        self.dimensions
+            .into_iter()
+            .map(|d| (d.name, d.items.into_iter().map(|i| (i.name, i.count)).collect()))
+            .collect()
     }
 
     /// `(exercised, total)` item counts for one dimension, for one-line
@@ -227,23 +222,8 @@ mod tests {
     }
 
     #[test]
-    fn scan_is_deterministic_and_publishable() {
+    fn scan_is_deterministic() {
         let ds = Scenario::tiny().generate();
-        let a = CoverageReport::scan(&ds);
-        let b = CoverageReport::scan(&ds);
-        assert_eq!(a, b);
-        a.publish();
-        let snap = mpa_obs::coverage::snapshot();
-        assert_eq!(snap.len(), a.dimensions.len());
-        let total: u64 = snap
-            .iter()
-            .flat_map(|(_, items)| items.iter().map(|(_, n)| *n))
-            .sum();
-        let expect: u64 = a
-            .dimensions
-            .iter()
-            .flat_map(|d| d.items.iter().map(|i| i.count))
-            .sum();
-        assert_eq!(total, expect);
+        assert_eq!(CoverageReport::scan(&ds), CoverageReport::scan(&ds));
     }
 }

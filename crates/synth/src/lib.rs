@@ -35,7 +35,7 @@
 //!   ours, by construction, lacks.
 //! * [`coverage`] — the scenario coverage scan: which stanza kinds, change
 //!   types, dialects and degradation knobs a generated corpus actually
-//!   exercised, published into the `mpa-obs` RunReport.
+//!   exercised, carried in the `mpa-obs` RunReport of the binaries.
 
 pub mod catalog;
 pub mod coverage;

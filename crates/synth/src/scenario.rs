@@ -173,7 +173,7 @@ impl Scenario {
             })
             .collect();
 
-        let per_network = mpa_obs::span("simulate", || {
+        let simulated = mpa_obs::span("simulate", || {
             mpa_exec::par_map(&work, |_, &(profile, base)| {
                 let seed = mpa_exec::stream_seed(self.org.seed, u64::from(profile.id.0));
                 let mut rng = StdRng::seed_from_u64(seed);
@@ -227,7 +227,7 @@ impl Scenario {
         let mut ground_truth = Vec::new();
 
         let mut degrade_total = DegradeStats::default();
-        for (network, records, out, degrade_stats) in per_network {
+        for (network, records, out, degrade_stats) in simulated {
             degrade_total.add(&degrade_stats);
             inventory_records.extend(records);
             archives.push(out.archive);
